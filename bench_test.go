@@ -162,8 +162,8 @@ func BenchmarkSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchParallel measures the sharded worker-pool search engine
-// against the serial loop on the synthetic stress graph: one KeepAll
+// BenchmarkSearchParallel measures the search engine at several worker
+// counts on the synthetic stress graph: one KeepAll
 // prediction truncated to 20 designs per partition (a fixed 8000-combination
 // enumeration), searched at 1, 2 and 4 workers. Results are byte-identical
 // at every worker count; on a multi-core host the w4/w1 ns/op ratio is the

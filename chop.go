@@ -527,7 +527,8 @@ var (
 	// PlanShards computes the signed shard decomposition a coordinator
 	// and its workers must agree on.
 	PlanShards = core.PlanShards
-	// SearchShards executes a subset of a plan's shards locally.
+	// SearchShards executes a subset of a plan's shards locally, taking
+	// the plan PlanShards returned.
 	SearchShards = core.SearchShards
 	// MergeShardResults folds per-shard results in visit order into the
 	// merged SearchResult.

@@ -203,7 +203,7 @@ func buildProfileReport(name string, iters int, elapsed time.Duration, snap *obs
 		Created:     time.Now().UTC().Format(time.RFC3339),
 		Workload:    name,
 		Iters:       iters,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters),
+		NsPerOp:     float64(elapsed.Nanoseconds()-snap.ReadNS) / float64(iters),
 		CoveragePct: snap.CoveragePct,
 		Build:       ReadBuildEnv(),
 	}

@@ -150,9 +150,9 @@ func stressCancelProblem(t *testing.T) (*Partitioning, Config, []bad.Result) {
 }
 
 // TestCancelStressReturnsQuickly: cancelling mid-search on the stress
-// problem must return within 100ms of the cancel — from the serial loop
-// and from the sharded worker pool alike — with a partial, bounded trial
-// count and a wrapped context error.
+// problem must return within 100ms of the cancel — with one inline worker
+// and with a pool of eight alike — with a partial, bounded trial count and
+// a wrapped context error.
 func TestCancelStressReturnsQuickly(t *testing.T) {
 	p, cfg, preds := stressCancelProblem(t)
 	const space = 20 * 20 * 20

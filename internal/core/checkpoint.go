@@ -14,14 +14,15 @@ import (
 	"chop/internal/resilience"
 )
 
-// This file implements checkpoint/resume for the sharded search engine.
-// The unit of durability is the shard: a shard's private SearchResult
-// depends only on its own combination range, so a snapshot of the completed
-// shards plus the shard geometry is enough to restart a search exactly
-// where it stopped. Incomplete shards are simply re-run; completed ones are
-// restored verbatim and merged in the usual shard order, which makes a
-// resumed result byte-identical to an uninterrupted one (enforced by
-// TestCheckpointResumeByteIdentical).
+// This file implements checkpoint/resume for the search engine. The unit
+// of durability is the shard: a shard's private SearchResult depends only
+// on its own combination range, so a snapshot of the completed shards plus
+// the shard geometry is enough to restart a search exactly where it
+// stopped. Incomplete shards are simply re-run; completed ones are restored
+// verbatim and merged in the usual shard order, which makes a resumed
+// result byte-identical to an uninterrupted one (enforced by
+// TestCheckpointResumeByteIdentical). The distributed coordinator persists
+// its done-set in the same format.
 
 // checkpointKind tags the search checkpoint payload inside the versioned
 // resilience envelope.
@@ -78,133 +79,99 @@ func searchSignature(p *Partitioning, cfg Config, h Heuristic, lists [][]bad.Des
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// checkpointer coordinates periodic snapshots of one sharded search.
-// Workers report completed shards through markDone; every cfg-selected
-// number of completions the done-set is written atomically. All methods are
-// nil-safe so the engines call them unconditionally.
-type checkpointer struct {
-	mu      sync.Mutex
-	cfg     Config
-	sig     string
-	every   int
-	pending int  // completions since the last save
-	saving  bool // a goroutine is writing a snapshot (outside the lock)
-	done    map[int]*SearchResult
-	sp      *obs.Span
+// Checkpointer persists the done-set of one planned search: every
+// completed shard's result is written, with the plan signature, atomically
+// to cfg.CheckpointPath as soon as it is marked done. The in-process engine
+// and the distributed coordinator (internal/dist) both checkpoint through
+// it, so one file format serves both. All methods are nil-safe, and a nil
+// Checkpointer is what a search without a checkpoint path uses.
+type Checkpointer struct {
+	mu     sync.Mutex
+	cfg    Config
+	sig    string
+	dirty  bool // a completion is not yet in any snapshot
+	saving bool // a goroutine is writing a snapshot (outside the lock)
+	done   map[int]*SearchResult
+	sp     *obs.Span
 }
 
-// newCheckpointer builds the checkpointer for one search, resuming from an
-// existing matching snapshot when cfg.Resume is set. It returns the
-// (possibly nil) checkpointer and the set of shards to skip, with their
-// results already restored into outs. Load problems — missing file, foreign
-// kind/version, signature mismatch — are not errors: the search starts
-// fresh and the stale file is overwritten by the first save.
-func newCheckpointer(p *Partitioning, cfg Config, h Heuristic, lists [][]bad.Design,
-	shards, total int, outs []shardOut, sp *obs.Span) (*checkpointer, map[int]bool, error) {
-
+// OpenCheckpointer starts checkpointing the signed plan to
+// cfg.CheckpointPath and returns the shards to skip, restored from an
+// existing matching snapshot when cfg.Resume is set. It returns a nil
+// Checkpointer when cfg.CheckpointPath is empty. Load problems — missing
+// file, foreign kind/version, signature mismatch — are not errors: the
+// search starts fresh and the stale file is overwritten by the first save.
+// cfg supplies the path, Resume, Metrics, Inject, Stats and Phases; cfg.Ctx
+// bounds the save retries.
+func OpenCheckpointer(cfg Config, plan ShardPlan, sp *obs.Span) (*Checkpointer, map[int]*SearchResult) {
+	restored := make(map[int]*SearchResult)
 	if cfg.CheckpointPath == "" {
-		return nil, nil, nil
+		return nil, restored
 	}
-	sig, err := searchSignature(p, cfg, h, lists, shards, total)
-	if err != nil {
-		return nil, nil, err
-	}
-	c := &checkpointer{
-		cfg: cfg, sig: sig, every: cfg.CheckpointEvery,
-		done: make(map[int]*SearchResult), sp: sp,
-	}
-	if c.every <= 0 {
-		c.every = 1
-	}
-	skip := make(map[int]bool)
+	c := &Checkpointer{cfg: cfg, sig: plan.Signature, done: make(map[int]*SearchResult), sp: sp}
 	if !cfg.Resume {
-		return c, skip, nil
+		return c, restored
 	}
 	var snap searchCheckpoint
 	if err := resilience.LoadCheckpoint(cfg.CheckpointPath, checkpointKind, &snap); err != nil {
 		cfg.Metrics.Inc("resilience.checkpoint_load_skipped")
-		return c, skip, nil
+		return c, restored
 	}
-	if snap.Signature != sig {
+	if snap.Signature != plan.Signature {
 		cfg.Metrics.Inc("resilience.checkpoint_mismatch")
 		if sp != nil {
 			sp.Point("checkpoint", obs.F("resumed", false), obs.F("reason", "signature-mismatch"))
 		}
-		return c, skip, nil
+		return c, restored
 	}
 	for si, res := range snap.Done {
-		if si < 0 || si >= shards || res == nil {
+		if si < 0 || si >= plan.Shards || res == nil {
 			continue
 		}
-		outs[si].res = *res
 		c.done[si] = res
-		skip[si] = true
+		restored[si] = res
 	}
-	cfg.Metrics.Add("resilience.checkpoint_resumed_shards", int64(len(skip)))
+	cfg.Metrics.Add("resilience.checkpoint_resumed_shards", int64(len(restored)))
 	if sp != nil {
-		sp.Point("checkpoint", obs.F("resumed", true), obs.F("shards", len(skip)))
+		sp.Point("checkpoint", obs.F("resumed", true), obs.F("shards", len(restored)))
 	}
-	return c, skip, nil
+	return c, restored
 }
 
-// markDone records a completed shard and snapshots when the cadence is due.
-// Called concurrently by workers; the bookkeeping happens under the mutex
-// but the file write (which retries with backoff) does not, so a slow or
-// failing checkpoint disk never serializes the pool at shard completion.
-func (c *checkpointer) markDone(si int, res *SearchResult) {
+// MarkDone records a completed shard and snapshots the done-set. Safe for
+// concurrent workers: the calling goroutine becomes the single writer
+// unless one is already in flight, in which case that writer's next loop
+// picks the new completion up. The done-map is copied under the lock so
+// the write itself — resilience.Retry with backoff sleeps — runs unlocked
+// and never stalls workers reporting new shards.
+func (c *Checkpointer) MarkDone(si int, res *SearchResult) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	c.done[si] = res
-	c.pending++
-	c.mu.Unlock()
-	c.trySave(false)
-}
-
-// flush forces a snapshot of whatever has completed — called on the way out
-// of an aborted search so a cancelled or failed run leaves its maximal
-// resumable state behind.
-func (c *checkpointer) flush() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	force := c.pending > 0 || len(c.done) > 0
-	c.mu.Unlock()
-	c.trySave(force)
-}
-
-// trySave writes snapshots while one is due (pending has reached the
-// cadence, or force), electing the calling goroutine as the single writer:
-// concurrent callers see the saving flag and return immediately, their
-// completions folded into the writer's next loop iteration. The done-map is
-// copied under the lock so the write itself — resilience.Retry with backoff
-// sleeps — runs unlocked and never stalls workers reporting new shards.
-func (c *checkpointer) trySave(force bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.done[si] = res
+	c.dirty = true
 	if c.saving {
-		return // the in-flight writer will pick the new pending work up
+		return
 	}
-	for force || c.pending >= c.every {
-		force = false
-		c.pending = 0
+	c.saving = true
+	for c.dirty {
+		c.dirty = false
 		snap := searchCheckpoint{Signature: c.sig, Done: make(map[int]*SearchResult, len(c.done))}
 		for si, res := range c.done {
 			snap.Done[si] = res
 		}
-		c.saving = true
 		c.mu.Unlock()
 		c.save(snap)
 		c.mu.Lock()
-		c.saving = false
 	}
+	c.saving = false
 }
 
-// finish removes the checkpoint after a successful search: the snapshot is
+// Finish removes the checkpoint after a successful search: the snapshot is
 // consumed, and a later unrelated run must not resume from it.
-func (c *checkpointer) finish() {
+func (c *Checkpointer) Finish() {
 	if c == nil {
 		return
 	}
@@ -219,8 +186,8 @@ func (c *checkpointer) finish() {
 // failures (and injected "checkpoint.save" faults). A save that still
 // fails after the retries is recorded but does not kill the search —
 // checkpoint durability is best-effort by design. Runs without the mutex;
-// trySave guarantees a single writer at a time.
-func (c *checkpointer) save(snap searchCheckpoint) {
+// MarkDone guarantees a single writer at a time.
+func (c *Checkpointer) save(snap searchCheckpoint) {
 	// Checkpoint I/O is booked on the accounter's global cell: the writer
 	// is an elected worker goroutine, but the cost belongs to the
 	// checkpoint phase, not to whichever shard drew the short straw.

@@ -15,60 +15,10 @@ import (
 	"chop/internal/stats"
 )
 
-// runSerialAndParallel predicts once, then runs the same search serially
-// and at the given worker count and returns both results.
-func runSerialAndParallel(t *testing.T, p *Partitioning, cfg Config, h Heuristic, workers int) (serial, parallel SearchResult) {
-	t.Helper()
-	preds, err := PredictPartitions(p, cfg)
-	if err != nil {
-		t.Fatalf("predict: %v", err)
-	}
-	return searchSerialAndParallel(t, p, cfg, preds, h, workers)
-}
-
-// searchSerialAndParallel compares the two engines over precomputed
-// predictions, so matrix tests pay for BAD only once per problem.
-func searchSerialAndParallel(t *testing.T, p *Partitioning, cfg Config,
-	preds []bad.Result, h Heuristic, workers int) (serial, parallel SearchResult) {
-	t.Helper()
-	scfg := cfg
-	scfg.Workers = 1
-	serial, err := Search(p, scfg, preds, h)
-	if err != nil {
-		t.Fatalf("serial search: %v", err)
-	}
-	pcfg := cfg
-	pcfg.Workers = workers
-	parallel, err = Search(p, pcfg, preds, h)
-	if err != nil {
-		t.Fatalf("parallel search (%d workers): %v", workers, err)
-	}
-	return serial, parallel
-}
-
-// requireIdentical asserts the full SearchResult equality the parallel
-// engine promises: same counters, same Best ordering, same Space sequence.
-func requireIdentical(t *testing.T, serial, parallel SearchResult, label string) {
-	t.Helper()
-	if serial.Trials != parallel.Trials || serial.FeasibleTrials != parallel.FeasibleTrials {
-		t.Fatalf("%s: trials diverge: serial %d/%d, parallel %d/%d", label,
-			serial.Trials, serial.FeasibleTrials, parallel.Trials, parallel.FeasibleTrials)
-	}
-	if len(serial.Best) != len(parallel.Best) {
-		t.Fatalf("%s: |Best| diverges: serial %d, parallel %d", label, len(serial.Best), len(parallel.Best))
-	}
-	if len(serial.Space) != len(parallel.Space) {
-		t.Fatalf("%s: |Space| diverges: serial %d, parallel %d", label, len(serial.Space), len(parallel.Space))
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("%s: results are not byte-identical", label)
-	}
-}
-
 // TestParallelMatchesSerialOnARFilter: the paper's AR-filter setups at
 // several partition counts, both heuristics, with and without KeepAll,
-// across worker counts (including more workers than shards). Predictions
-// are computed once per problem; only the searches repeat.
+// match the reference walk at every worker count (one worker, several, and
+// more workers than shards). Predictions are computed once per problem.
 func TestParallelMatchesSerialOnARFilter(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
 		for ci, base := range []Config{exp1Config(), exp2Config()} {
@@ -84,11 +34,10 @@ func TestParallelMatchesSerialOnARFilter(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, h := range []Heuristic{Enumeration, Iterative} {
-					for _, workers := range []int{3, 64} {
-						serial, parallel := searchSerialAndParallel(t, p, cfg, preds, h, workers)
-						label := fmt.Sprintf("ar n=%d cfg=%d keepAll=%v h=%s w=%d",
-							n, ci+1, keepAll, h, workers)
-						requireIdentical(t, serial, parallel, label)
+					want := referenceSearch(t, p, cfg, preds, h)
+					for _, workers := range []int{1, 3, 64} {
+						searchMatchesReference(t, want, p, cfg, preds, workers, fmt.Sprintf(
+							"ar n=%d cfg=%d keepAll=%v h=%s w=%d", n, ci+1, keepAll, h, workers))
 					}
 				}
 			}
@@ -98,19 +47,24 @@ func TestParallelMatchesSerialOnARFilter(t *testing.T) {
 
 // TestParallelSpaceOrderMatchesSerial is the shard-merge regression test
 // for record: under KeepAll the merged Space sequence must equal the
-// serial append order point for point, not just as a multiset.
+// reference walk's append order point for point, not just as a multiset.
 func TestParallelSpaceOrderMatchesSerial(t *testing.T) {
 	cfg := exp1Config()
 	cfg.KeepAll = true
 	p := arPartitioning(t, 3, 1)
-	serial, parallel := runSerialAndParallel(t, p, cfg, Enumeration, 4)
-	if len(serial.Space) == 0 {
+	preds, err := PredictPartitions(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := referenceSearch(t, p, cfg, preds, Enumeration)
+	if len(want.Space) == 0 {
 		t.Fatal("KeepAll run recorded no space points; test is vacuous")
 	}
-	for i := range serial.Space {
-		if serial.Space[i] != parallel.Space[i] {
-			t.Fatalf("Space[%d] diverges: serial %+v, parallel %+v",
-				i, serial.Space[i], parallel.Space[i])
+	got := searchMatchesReference(t, want, p, cfg, preds, 4, "space order")
+	for i := range want.Space {
+		if want.Space[i] != got.Space[i] {
+			t.Fatalf("Space[%d] diverges: reference %+v, parallel %+v",
+				i, want.Space[i], got.Space[i])
 		}
 	}
 }
@@ -120,8 +74,12 @@ func TestParallelSpaceOrderMatchesSerial(t *testing.T) {
 func TestParallelNegativeWorkersUsesAllCores(t *testing.T) {
 	cfg := exp1Config()
 	p := arPartitioning(t, 2, 1)
-	serial, parallel := runSerialAndParallel(t, p, cfg, Enumeration, -1)
-	requireIdentical(t, serial, parallel, "workers=-1")
+	preds, err := PredictPartitions(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := referenceSearch(t, p, cfg, preds, Enumeration)
+	searchMatchesReference(t, want, p, cfg, preds, -1, "workers=-1")
 }
 
 // TestParallelEnumerationGuardMatchesSerial: the MaxCombinations guard must
@@ -217,9 +175,9 @@ func randomProblem(t *testing.T, seed int64) (*Partitioning, Config, error) {
 	return p, cfg, nil
 }
 
-// TestParallelMatchesSerialRandomized is the equivalence property test of
-// the tentpole: randomized DFGs, partitionings and configurations must
-// produce byte-identical serial and parallel results for both heuristics.
+// TestParallelMatchesSerialRandomized is the equivalence property test:
+// randomized DFGs, partitionings and configurations must match the
+// reference walk at one worker and at several, for both heuristics.
 func TestParallelMatchesSerialRandomized(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -230,11 +188,16 @@ func TestParallelMatchesSerialRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: invalid problem: %v", seed, err)
 		}
-		workers := 2 + int(seed%7)
+		preds, err := PredictPartitions(p, cfg)
+		if err != nil {
+			t.Fatalf("seed %d: predict: %v", seed, err)
+		}
 		for _, h := range []Heuristic{Enumeration, Iterative} {
-			serial, parallel := runSerialAndParallel(t, p, cfg, h, workers)
-			requireIdentical(t, serial, parallel,
-				fmt.Sprintf("seed=%d h=%s w=%d", seed, h, workers))
+			want := referenceSearch(t, p, cfg, preds, h)
+			for _, workers := range []int{1, 2 + int(seed%7)} {
+				searchMatchesReference(t, want, p, cfg, preds, workers,
+					fmt.Sprintf("seed=%d h=%s w=%d", seed, h, workers))
+			}
 		}
 	}
 }
@@ -254,10 +217,7 @@ func TestParallelSearchRaceStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Search(p, cfg, preds, Enumeration)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceSearch(t, p, cfg, preds, Enumeration)
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
 		wg.Add(1)
@@ -269,7 +229,7 @@ func TestParallelSearchRaceStress(t *testing.T) {
 				return
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Error("concurrent parallel search diverged from reference result")
+				t.Error("concurrent parallel search diverged from the reference walk")
 			}
 		}()
 	}

@@ -208,12 +208,12 @@ type Config struct {
 	// default — runs to completion. The check is a single atomic load per
 	// trial, invisible next to the integration work a trial performs.
 	Ctx context.Context
-	// Workers selects the search parallelism: 0 or 1 — the default — runs
-	// the single-threaded search, N > 1 evaluates combination shards on N
-	// worker goroutines, and any negative value uses GOMAXPROCS. The
-	// parallel search is deterministic: its SearchResult (Best ordering,
-	// Trials, FeasibleTrials, and Space when KeepAll is set) is identical
-	// to the serial result. See DESIGN.md, "Concurrency model".
+	// Workers selects the search parallelism: 0 or 1 — the default —
+	// evaluates the search's shards one after another on the calling
+	// goroutine, N > 1 on N worker goroutines, and any negative value uses
+	// GOMAXPROCS. The search is deterministic: its SearchResult (Best
+	// ordering, Trials, FeasibleTrials, and Space when KeepAll is set) is
+	// the same at every worker count. See DESIGN.md, "Concurrency model".
 	Workers int
 	// PredictCache, when non-nil, memoizes bad.Predict results across runs
 	// under their content key (partition structure + library + style +
@@ -221,19 +221,13 @@ type Config struct {
 	// re-predicting unchanged partitions. Safe to share between
 	// concurrent runs and across differing configurations.
 	PredictCache *bad.PredictCache
-	// CheckpointPath, when set, makes the search engine periodically
-	// snapshot its progress — which shards of the combination space have
-	// completed, with their partial results — into a versioned JSON
-	// checkpoint at this path, written atomically (tmp + rename). An
-	// interrupted run (cancellation, deadline, crash after the last save)
-	// restarts from the snapshot when Resume is set. Checkpointing routes
-	// the search through the sharded engine even at Workers <= 1; the
-	// result is identical either way (see DESIGN.md, "Concurrency model").
+	// CheckpointPath, when set, makes the search engine snapshot its
+	// progress — which shards of the combination space have completed,
+	// with their partial results — into a versioned JSON checkpoint at
+	// this path, written atomically (tmp + rename) at every shard
+	// completion. An interrupted run (cancellation, deadline, crash)
+	// restarts from the snapshot when Resume is set.
 	CheckpointPath string
-	// CheckpointEvery is the snapshot cadence in completed shards
-	// (default 1: every shard completion). Raising it trades durability
-	// for less checkpoint I/O.
-	CheckpointEvery int
 	// Resume loads CheckpointPath before searching and skips the shards
 	// it records as complete. A missing file, a different checkpoint
 	// version, or a signature mismatch (the problem, constraints or shard

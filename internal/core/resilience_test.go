@@ -1,12 +1,10 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"chop/internal/bad"
@@ -23,10 +21,11 @@ func runToError(t *testing.T, p *Partitioning, cfg Config, preds []bad.Result, h
 	}
 }
 
-// TestCheckpointResumeByteIdentical is the tentpole durability guarantee:
-// a search killed mid-flight and resumed from its checkpoint produces a
-// result byte-identical to an uninterrupted run — same counters, same Best
-// ordering, same Space sequence — for both heuristics, serial and parallel.
+// TestCheckpointResumeByteIdentical is the durability guarantee: a search
+// killed mid-flight and resumed from its checkpoint produces a result
+// byte-identical to the reference walk — same counters, same Best
+// ordering, same Space sequence — for both heuristics at one worker and at
+// several.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	p := arPartitioning(t, 2, 1)
 	base := exp1Config()
@@ -40,10 +39,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("h=%s/w=%d", h, workers), func(t *testing.T) {
 				cfg := base
 				cfg.Workers = workers
-				want, err := Search(p, cfg, preds, h)
-				if err != nil {
-					t.Fatalf("reference search: %v", err)
-				}
+				want := referenceSearch(t, p, cfg, preds, h)
 				// Kill the search deterministically at the very last trial:
 				// every earlier shard has then completed (and checkpointed)
 				// while the failing shard has not. (An earlier cut can land
@@ -70,14 +66,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				if n := cfg.Metrics.Counter("resilience.checkpoint_resumed_shards"); n == 0 {
 					t.Error("resume restored no shards; test is vacuous")
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatal("resumed result diverges from uninterrupted run")
-				}
-				wantJSON, _ := json.Marshal(want)
-				gotJSON, _ := json.Marshal(got)
-				if string(wantJSON) != string(gotJSON) {
-					t.Fatal("resumed result not byte-identical to uninterrupted run")
-				}
+				requireReference(t, want, got, "resumed")
 				// A successful search consumes its checkpoint.
 				if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
 					t.Errorf("checkpoint not removed after success: %v", err)
@@ -110,11 +99,7 @@ func TestCheckpointWorkerCountPortability(t *testing.T) {
 	} {
 		t.Run(tc.h.String(), func(t *testing.T) {
 			cfg := base
-			cfg.Workers = 4
-			want, err := Search(p, cfg, preds, tc.h)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := referenceSearch(t, p, cfg, preds, tc.h)
 			// Interrupt a 2-worker run at the last trial, then resume with 4.
 			cfg.Workers = 2
 			cfg.CheckpointPath = filepath.Join(t.TempDir(), "search.ckpt")
@@ -137,9 +122,7 @@ func TestCheckpointWorkerCountPortability(t *testing.T) {
 			if !tc.resumes && (resumed != 0 || mismatch == 0) {
 				t.Errorf("enumeration checkpoint crossed worker counts (resumed=%d mismatch=%d)", resumed, mismatch)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatal("result after worker-count change diverges from reference")
-			}
+			requireReference(t, want, got, "after worker-count change")
 		})
 	}
 }
@@ -260,20 +243,12 @@ func TestCheckpointSaveFailureDoesNotKillSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Search(p, Config{
-		Lib: cfg.Lib, Style: cfg.Style, Clocks: cfg.Clocks,
-		Constraints: cfg.Constraints, MaxBusPins: cfg.MaxBusPins,
-	}, preds, Enumeration)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceSearch(t, p, cfg, preds, Enumeration)
 	got, err := Search(p, cfg, preds, Enumeration)
 	if err != nil {
 		t.Fatalf("search failed on checkpoint-save faults: %v", err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("checkpoint-save faults changed the search result")
-	}
+	requireReference(t, want, got, "checkpoint-save faults")
 	if n := cfg.Metrics.Counter("resilience.checkpoint_save_failed"); n == 0 {
 		t.Error("failed saves not counted")
 	}

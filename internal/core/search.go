@@ -7,7 +7,6 @@ import (
 
 	"chop/internal/bad"
 	"chop/internal/obs"
-	"chop/internal/resilience"
 )
 
 // Heuristic selects the combination-search strategy (paper section 2.4:
@@ -82,11 +81,6 @@ func search(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic, parent
 	if err != nil {
 		return SearchResult{}, err
 	}
-	lists := make([][]bad.Design, len(preds))
-	for i, r := range preds {
-		lists[i] = r.Designs
-	}
-	workers := cfg.searchWorkers()
 	// Link the phase accounter into the live stats so run snapshots carry
 	// the per-phase breakdown (first attachment wins).
 	cfg.Stats.AttachPhases(cfg.Phases)
@@ -100,49 +94,81 @@ func search(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic, parent
 		})
 	}
 	sp := obs.SpanUnder(cfg.Trace, parent, "Search",
-		obs.F("heuristic", h.String()), obs.F("workers", workers))
+		obs.F("heuristic", h.String()), obs.F("workers", cfg.searchWorkers()))
 	defer cfg.Metrics.Timer("core.search_us")()
-	if h != Enumeration && h != Iterative {
-		sp.End(obs.F("error", "unknown heuristic"))
-		return SearchResult{}, fmt.Errorf("core: unknown heuristic %d", h)
-	}
-	// Checkpointing rides on the sharded engine: shards are the unit of
-	// durability, and the engine's merge order makes a one-worker sharded
-	// run byte-identical to the serial walk (see parallel.go), so routing
-	// a checkpointed serial request through it changes nothing else.
-	sharded := workers > 1 || cfg.CheckpointPath != ""
 	var res SearchResult
-	var gerr error
+	var e *engine
 	// The engine runs under run/phase pprof labels, so a CPU profile
 	// sampled during the search slices by run and stage; workers inherit
-	// the labels through cfg.Ctx. The serial engines run on the caller's
-	// goroutine; the guard converts a panicking trial into an error here
-	// the same way runShard does for pool workers, so Search never takes
-	// down the process either way.
+	// the labels through cfg.Ctx.
 	obs.DoLabeled(cfg.Ctx, func(ctx context.Context) {
 		cfg.Ctx = ctx
-		gerr = resilience.Guard("core.search", func() error {
-			var serr error
-			switch {
-			case h == Enumeration && sharded:
-				res, serr = enumerateParallel(it, cfg, lists, sp)
-			case h == Enumeration:
-				res, serr = enumerate(it, cfg, lists, sp)
-			case sharded:
-				res, serr = iterativeParallel(it, cfg, lists, sp)
-			default:
-				res, serr = iterative(it, cfg, lists, sp)
-			}
-			return serr
-		})
+		if e, err = newEngine(cfg, preds, h, 0); err == nil {
+			e.it, e.sp = it, sp
+			res, err = e.searchAll(p)
+		}
 	}, "run", cfg.Stats.Label(), "phase", "search", "trace", cfg.Trace.TraceID())
-	if _, panicked := resilience.IsPanic(gerr); panicked {
-		cfg.Metrics.Inc("resilience.panic_recovered")
+	if e == nil {
+		sp.End(obs.F("error", err.Error()))
+		return SearchResult{}, err
 	}
 	emitPhases(cfg, sp)
 	sp.End(obs.F("trials", res.Trials), obs.F("feasible", res.FeasibleTrials),
 		obs.F("best", len(res.Best)))
-	return res, gerr
+	return res, err
+}
+
+// searchAll plans, drains and merges a whole search: every shard not
+// restored from a checkpoint runs, then all merge in shard order.
+func (e *engine) searchAll(p *Partitioning) (SearchResult, error) {
+	cfg := e.cfg
+	res := SearchResult{Heuristic: e.plan.Heuristic}
+	if e.sp != nil && e.plan.Shards > 0 {
+		// Announce the space size so live consumers (the -progress sink)
+		// can report trials as a fraction of the whole.
+		if e.plan.Heuristic == Enumeration {
+			e.sp.Point("space", obs.F("combinations", e.plan.Total))
+		} else {
+			e.sp.Point("space", obs.F("intervals", e.plan.Shards))
+		}
+	}
+	total := 0
+	if e.plan.Heuristic == Enumeration {
+		total = e.plan.Total
+	}
+	cfg.Stats.StartSearch(e.plan.Shards, int64(total))
+	cfg.Phases.StartSearch(e.plan.Shards)
+	outs := make([]shardOut, e.plan.Shards)
+	var restored map[int]*SearchResult
+	if cfg.CheckpointPath != "" {
+		if err := e.sign(p); err != nil {
+			return res, err
+		}
+		e.cp, restored = OpenCheckpointer(cfg, e.plan, e.sp)
+	}
+	order := make([]int, 0, e.plan.Shards)
+	for si := range outs {
+		r, ok := restored[si]
+		if !ok {
+			order = append(order, si)
+			continue
+		}
+		outs[si].res = *r
+		cfg.Stats.ShardStats(si).Restored(int64(r.Trials), int64(r.FeasibleTrials))
+	}
+	// One worker without a checkpoint has no use for per-shard results:
+	// its shards book straight into res, in visit order.
+	var into *SearchResult
+	if e.cp == nil && cfg.searchWorkers() == 1 {
+		into = &res
+	}
+	e.drain(order, outs, into)
+	if err := mergeShards(&res, outs); err != nil {
+		return res, err
+	}
+	finishSearch(&res)
+	e.cp.Finish()
+	return res, nil
 }
 
 // emitPhases records the accounter's cumulative per-phase totals as a
@@ -210,67 +236,35 @@ func enumSpaceSize(cfg Config, lists [][]bad.Design) (int, error) {
 	return total, nil
 }
 
-func enumerate(it *integrator, cfg Config, lists [][]bad.Design, sp *obs.Span) (SearchResult, error) {
-	res := SearchResult{Heuristic: Enumeration}
-	total, err := enumSpaceSize(cfg, lists)
-	if err != nil || total == 0 {
-		return res, err
-	}
-	if sp != nil {
-		// Announce the enumeration-space size so live consumers (the
-		// -progress sink) can report trials as a fraction of the whole.
-		sp.Point("space", obs.F("combinations", total))
-	}
-	// The serial walk is one shard to the live stats and phase accounter.
-	cfg.Stats.StartSearch(1, int64(total))
-	cfg.Phases.StartSearch(1)
-	ss := cfg.Stats.ShardStats(0)
-	ss.Start(int64(total))
-	ph := cfg.Phases.Shard(0)
-	idx := make([]int, len(lists))
-	choice := make([]bad.Design, len(lists))
-	for {
-		if err := cfg.canceled(); err != nil {
-			return res, err
-		}
-		if err := enumTrial(it, cfg, &res, lists, idx, choice, sp, ss, ph); err != nil {
-			return res, err
-		}
-		if !advanceOdometer(idx, lists) {
-			break
-		}
-	}
-	ss.Done()
-	finishSearch(&res)
-	return res, nil
-}
-
-// enumTrial evaluates the combination named by idx and books it into res.
-// idx and choice are caller-owned scratch (one combination decode per
-// trial, no allocation); the evaluated choice itself is cloned before it
-// escapes into the result.
-func enumTrial(it *integrator, cfg Config, res *SearchResult,
-	lists [][]bad.Design, idx []int, choice []bad.Design, sp *obs.Span,
-	ss *obs.ShardStats, ph *obs.PhaseHandle) error {
-
-	for i, j := range idx {
-		choice[i] = lists[i][j]
+// enumTrial evaluates the combination named by s.idx. The choice scratch
+// is decoded in place (no allocation) and cloned only as the evaluated
+// combination escapes into the result.
+func (s *shard) enumTrial() error {
+	for i, j := range s.idx {
+		s.choice[i] = s.lists[i][j]
 	}
 	// The system interval is set by the slowest partition implementation
 	// in the combination.
 	l := 0
-	for _, d := range choice {
-		if ii := d.IIMainCycles(cfg.Clocks); ii > l {
+	for _, d := range s.choice {
+		if ii := d.IIMainCycles(s.cfg.Clocks); ii > l {
 			l = ii
 		}
 	}
-	res.Trials++
-	g, err := it.evalTrial(sp, ss, ph, cloneChoice(choice), l)
+	_, err := s.trial(cloneChoice(s.choice), l)
+	return err
+}
+
+// trial evaluates one combination at system interval l and books it into
+// the shard's result.
+func (s *shard) trial(choice []bad.Design, l int) (GlobalDesign, error) {
+	s.res.Trials++
+	g, err := s.it.evalTrial(s.sp, s.ss, s.ph, choice, l)
 	if err != nil {
-		return err
+		return g, err
 	}
-	record(res, cfg, g, sp)
-	return nil
+	record(s.res, s.cfg, g, s.sp)
+	return g, nil
 }
 
 // advanceOdometer steps idx to the next combination (last digit fastest)
@@ -284,35 +278,6 @@ func advanceOdometer(idx []int, lists [][]bad.Design) bool {
 		idx[i] = 0
 	}
 	return false
-}
-
-// iterative implements the paper's Figure 5 algorithm.
-func iterative(it *integrator, cfg Config, lists [][]bad.Design, sp *obs.Span) (SearchResult, error) {
-	res := SearchResult{Heuristic: Iterative}
-	for _, l := range lists {
-		if len(l) == 0 {
-			return res, nil // see enumerate: no viable combination exists
-		}
-	}
-	intervals := iterativeIntervals(cfg, lists)
-	if sp != nil {
-		sp.Point("space", obs.F("intervals", len(intervals)))
-	}
-	// One stats shard per candidate interval, matching the parallel
-	// engine's shard geometry; serialization walks have no a-priori trial
-	// count, so shard totals stay unknown.
-	cfg.Stats.StartSearch(len(intervals), 0)
-	cfg.Phases.StartSearch(len(intervals))
-	for i, l := range intervals {
-		ss := cfg.Stats.ShardStats(i)
-		ss.Start(0)
-		if err := iterativeInterval(it, cfg, lists, l, &res, sp, ss, cfg.Phases.Shard(i)); err != nil {
-			return res, err
-		}
-		ss.Done()
-	}
-	finishSearch(&res)
-	return res, nil
 }
 
 // iterativeIntervals computes the candidate system initiation intervals:
@@ -352,14 +317,12 @@ func iterativeIntervals(cfg Config, lists [][]bad.Design) []int {
 	return intervals
 }
 
-// iterativeInterval runs the Figure-5 serialization loop for one candidate
-// system interval, booking every examined trial into res. The loop for one
-// interval is independent of every other interval's, which is what lets
-// iterativeParallel fan intervals out across workers and merge the
-// per-interval results back in interval order.
-func iterativeInterval(it *integrator, cfg Config, lists [][]bad.Design, l int,
-	res *SearchResult, sp *obs.Span, ss *obs.ShardStats, ph *obs.PhaseHandle) error {
-
+// iterate runs the paper's Figure-5 serialization loop for one candidate
+// system interval, booking every examined trial into the shard's result.
+// The loop for one interval is independent of every other interval's,
+// which is what makes intervals the iterative heuristic's shards.
+func (s *shard) iterate(l int) error {
+	lists, cfg := s.lists, s.cfg
 	// Initialize W_i to the fastest valid implementation at interval l
 	// (paper: advance each W_i until L_i >= l or W_i is non-pipelined
 	// with L_i <= l).
@@ -371,25 +334,23 @@ func iterativeInterval(it *integrator, cfg Config, lists [][]bad.Design, l int,
 		}
 	}
 	for {
-		if err := cfg.canceled(); err != nil {
+		if err := s.interrupted(); err != nil {
 			return err
 		}
 		choice := make([]bad.Design, len(lists))
 		for i := range lists {
 			choice[i] = lists[i][w[i]]
 		}
-		res.Trials++
-		g, err := it.evalTrial(sp, ss, ph, choice, l)
+		g, err := s.trial(choice, l)
 		if err != nil {
 			return err
 		}
-		record(res, cfg, g, sp)
 		if g.Feasible {
 			return nil // Q := nil
 		}
 		// Q: partitions residing on chips whose area constraint was
 		// violated by the last integration prediction.
-		q := partitionsOnChips(it.p, g.AreaViolations)
+		q := partitionsOnChips(s.it.p, g.AreaViolations)
 		if len(q) == 0 {
 			return nil
 		}
@@ -406,12 +367,10 @@ func iterativeInterval(it *integrator, cfg Config, lists [][]bad.Design, l int,
 				trial[i] = lists[i][w[i]]
 			}
 			trial[pi] = lists[pi][ni]
-			res.Trials++
-			tg, err := it.evalTrial(sp, ss, ph, trial, l)
+			tg, err := s.trial(trial, l)
 			if err != nil {
 				return err
 			}
-			record(res, cfg, tg, sp)
 			if bestQ < 0 || tg.DelayMain < bestDelay {
 				bestQ, bestDelay = pi, tg.DelayMain
 			}
@@ -421,8 +380,8 @@ func iterativeInterval(it *integrator, cfg Config, lists [][]bad.Design, l int,
 		}
 		// The Figure-5 serialization step: slow down bestQ's partition
 		// to shrink its area footprint on the violating chip.
-		if sp != nil {
-			sp.Point("serialize", obs.F("ii", l),
+		if s.sp != nil {
+			s.sp.Point("serialize", obs.F("ii", l),
 				obs.F("partition", bestQ+1), obs.F("delay", bestDelay))
 		}
 		if cfg.Metrics != nil {
@@ -469,8 +428,8 @@ func cloneChoice(c []bad.Design) []bad.Design {
 // infeasible global predictions are discarded immediately unless KeepAll.
 // The pruning decision is emitted as a trace event when tracing is on.
 //
-// record always appends to a single-goroutine result: the serial search's
-// one SearchResult, or a parallel shard's private buffer (see mergeShard).
+// record always appends to a single-goroutine result: a one-worker
+// search's one SearchResult, or a shard's private buffer (see mergeShards).
 // KeepAll runs therefore never interleave Space appends across shards, and
 // no mutex guards the result.
 func record(res *SearchResult, cfg Config, g GlobalDesign, sp *obs.Span) {

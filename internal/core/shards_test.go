@@ -1,19 +1,18 @@
 package core
 
 import (
-	"encoding/json"
+	"fmt"
+	"math/rand"
 	"testing"
+
+	"chop/internal/bad"
+	"chop/internal/obs"
 )
 
 // planAndRunAll plans the shard decomposition and executes every shard in
-// one SearchShards call, returning the plan, the done-set and the merged
-// result.
-func planAndRunAll(t *testing.T, p *Partitioning, cfg Config, h Heuristic, shards int) (ShardPlan, map[int]*SearchResult, SearchResult) {
+// one SearchShards call, returning the merged result.
+func planAndRunAll(t *testing.T, p *Partitioning, cfg Config, preds []bad.Result, h Heuristic, shards int) SearchResult {
 	t.Helper()
-	preds, err := PredictPartitions(p, cfg)
-	if err != nil {
-		t.Fatalf("predict: %v", err)
-	}
 	plan, err := PlanShards(p, cfg, preds, h, shards)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
@@ -22,7 +21,7 @@ func planAndRunAll(t *testing.T, p *Partitioning, cfg Config, h Heuristic, shard
 	for i := range indices {
 		indices[i] = i
 	}
-	done, err := SearchShards(p, cfg, preds, h, plan.Shards, indices)
+	done, err := SearchShards(p, cfg, preds, plan, indices)
 	if err != nil {
 		t.Fatalf("SearchShards: %v", err)
 	}
@@ -30,95 +29,119 @@ func planAndRunAll(t *testing.T, p *Partitioning, cfg Config, h Heuristic, shard
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	return plan, done, merged
+	return merged
 }
 
 // TestSearchShardsMergeMatchesSerial is the distributed substrate's core
-// promise: executing the planned shards (in any split) and merging the
-// done-set is byte-identical to a Workers=1 serial search, for both
-// heuristics and several shard counts.
+// promise: executing the planned shards and merging the done-set equals
+// the reference walk, for both heuristics and several shard counts.
 func TestSearchShardsMergeMatchesSerial(t *testing.T) {
 	p := arPartitioning(t, 2, 1)
+	cfg := exp1Config()
+	cfg.KeepAll = true
+	preds, err := PredictPartitions(p, cfg)
+	if err != nil {
+		t.Fatalf("predict: %v", err)
+	}
 	for _, h := range []Heuristic{Enumeration, Iterative} {
-		cfg := exp1Config()
-		cfg.KeepAll = true
-		preds, err := PredictPartitions(p, cfg)
-		if err != nil {
-			t.Fatalf("predict: %v", err)
-		}
-		scfg := cfg
-		scfg.Workers = 1
-		serial, err := Search(p, scfg, preds, h)
-		if err != nil {
-			t.Fatalf("serial: %v", err)
-		}
-		want, err := json.Marshal(serial)
-		if err != nil {
-			t.Fatalf("marshal serial: %v", err)
-		}
+		want := referenceSearch(t, p, cfg, preds, h)
 		for _, shards := range []int{1, 3, 8} {
-			_, _, merged := planAndRunAll(t, p, cfg, h, shards)
-			got, err := json.Marshal(merged)
-			if err != nil {
-				t.Fatalf("marshal merged: %v", err)
-			}
-			if string(got) != string(want) {
-				t.Fatalf("h=%v shards=%d: merged result not byte-identical to serial\nserial: %s\nmerged: %s",
-					h, shards, want, got)
-			}
+			requireReference(t, want, planAndRunAll(t, p, cfg, preds, h, shards),
+				fmt.Sprintf("h=%v shards=%d", h, shards))
 		}
 	}
 }
 
-// TestSearchShardsSubsetsCompose: running disjoint index subsets in
-// separate SearchShards calls (as different workers would) yields the same
-// done-set as one call over all indices.
+// TestSearchShardsSubsetsCompose: running random disjoint index subsets in
+// separate SearchShards calls at random worker counts (as different fleet
+// workers would) and merging the union equals the reference walk.
 func TestSearchShardsSubsetsCompose(t *testing.T) {
+	p := arPartitioning(t, 3, 1)
+	cfg := exp1Config()
+	preds, err := PredictPartitions(p, cfg)
+	if err != nil {
+		t.Fatalf("predict: %v", err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, h := range []Heuristic{Enumeration, Iterative} {
+		want := referenceSearch(t, p, cfg, preds, h)
+		for round := 0; round < 4; round++ {
+			plan, err := PlanShards(p, cfg, preds, h, 2+rng.Intn(12))
+			if err != nil {
+				t.Fatalf("plan: %v", err)
+			}
+			if plan.Shards < 2 {
+				t.Fatalf("want >= 2 shards, got %d", plan.Shards)
+			}
+			// Deal the shuffled indices into 1-3 subsets.
+			subsets := make([][]int, 1+rng.Intn(3))
+			for _, si := range rng.Perm(plan.Shards) {
+				k := rng.Intn(len(subsets))
+				subsets[k] = append(subsets[k], si)
+			}
+			done := make(map[int]*SearchResult)
+			for _, part := range subsets {
+				if len(part) == 0 {
+					continue
+				}
+				wcfg := cfg
+				wcfg.Workers = 1 + rng.Intn(4)
+				d, err := SearchShards(p, wcfg, preds, plan, part)
+				if err != nil {
+					t.Fatalf("SearchShards(%v): %v", part, err)
+				}
+				for si, r := range d {
+					done[si] = r
+				}
+			}
+			merged, err := MergeShardResults(h, plan.Shards, done)
+			if err != nil {
+				t.Fatalf("merge: %v", err)
+			}
+			requireReference(t, want, merged, fmt.Sprintf("h=%v round=%d subsets=%v", h, round, subsets))
+		}
+	}
+}
+
+// TestSearchShardsStatsCoverRunShards: a shard job's live stats describe
+// the shards it runs, not the whole plan — every shard reaches done, the
+// enumeration total is the leased ranges' size, and the iterative total
+// stays unknown (0).
+func TestSearchShardsStatsCoverRunShards(t *testing.T) {
 	p := arPartitioning(t, 2, 1)
 	cfg := exp1Config()
 	preds, err := PredictPartitions(p, cfg)
 	if err != nil {
 		t.Fatalf("predict: %v", err)
 	}
-	plan, err := PlanShards(p, cfg, preds, Enumeration, 6)
-	if err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	if plan.Shards < 2 {
-		t.Fatalf("want >= 2 shards, got %d", plan.Shards)
-	}
-	var a, b []int
-	for si := 0; si < plan.Shards; si++ {
-		if si%2 == 0 {
-			a = append(a, si)
-		} else {
-			b = append(b, si)
-		}
-	}
-	done := make(map[int]*SearchResult)
-	for _, part := range [][]int{a, b} {
-		d, err := SearchShards(p, cfg, preds, Enumeration, plan.Shards, part)
+	for _, h := range []Heuristic{Enumeration, Iterative} {
+		plan, err := PlanShards(p, cfg, preds, h, 6)
 		if err != nil {
-			t.Fatalf("SearchShards(%v): %v", part, err)
+			t.Fatalf("plan: %v", err)
 		}
-		for si, r := range d {
-			done[si] = r
+		indices := []int{plan.Shards - 1, 0}
+		st := obs.NewRunStats("job")
+		scfg := cfg
+		scfg.Stats = st
+		done, err := SearchShards(p, scfg, preds, plan, indices)
+		if err != nil {
+			t.Fatalf("SearchShards: %v", err)
 		}
-	}
-	merged, err := MergeShardResults(Enumeration, plan.Shards, done)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	scfg := cfg
-	scfg.Workers = 1
-	serial, err := Search(p, scfg, preds, Enumeration)
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	want, _ := json.Marshal(serial)
-	got, _ := json.Marshal(merged)
-	if string(got) != string(want) {
-		t.Fatalf("split execution diverged from serial")
+		trials := done[0].Trials + done[plan.Shards-1].Trials
+		snap := st.Snapshot()
+		if snap.Shards != len(indices) || snap.ShardsDone != snap.Shards || !snap.Done() {
+			t.Fatalf("%s: stats shards %d done %d, want %d done", h, snap.Shards, snap.ShardsDone, len(indices))
+		}
+		if snap.Trials != int64(trials) {
+			t.Fatalf("%s: stats trials %d, shards ran %d", h, snap.Trials, trials)
+		}
+		wantTotal := int64(trials)
+		if h == Iterative {
+			wantTotal = 0
+		}
+		if snap.Total != wantTotal {
+			t.Fatalf("%s: stats total %d, want %d", h, snap.Total, wantTotal)
+		}
 	}
 }
 
@@ -185,21 +208,29 @@ func TestSearchShardsRejectsBadInputs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	if _, err := SearchShards(p, cfg, preds, Enumeration, plan.Total+1, []int{0}); err == nil {
+	beyond := plan
+	beyond.Shards = plan.Total + 1
+	if _, err := SearchShards(p, cfg, preds, beyond, []int{0}); err == nil {
 		t.Fatalf("enumeration shard count beyond the combination count accepted")
 	}
 	iplan, err := PlanShards(p, cfg, preds, Iterative, 0)
 	if err != nil {
 		t.Fatalf("iterative plan: %v", err)
 	}
-	if _, err := SearchShards(p, cfg, preds, Iterative, iplan.Shards+1, []int{0}); err == nil {
+	iplan.Shards++
+	if _, err := SearchShards(p, cfg, preds, iplan, []int{0}); err == nil {
 		t.Fatalf("iterative shard-count mismatch accepted")
 	}
-	if _, err := SearchShards(p, cfg, preds, Enumeration, plan.Shards, []int{plan.Shards}); err == nil {
+	if _, err := SearchShards(p, cfg, preds, plan, []int{plan.Shards}); err == nil {
 		t.Fatalf("out-of-range index accepted")
 	}
-	if _, err := SearchShards(p, cfg, preds, Enumeration, plan.Shards, []int{0, 0}); err == nil {
+	if _, err := SearchShards(p, cfg, preds, plan, []int{0, 0}); err == nil {
 		t.Fatalf("duplicate index accepted")
+	}
+	other := plan
+	other.Heuristic = Iterative
+	if _, err := SearchShards(p, cfg, preds, other, []int{0}); err == nil {
+		t.Fatalf("plan of a different heuristic accepted")
 	}
 	if _, err := MergeShardResults(Enumeration, plan.Shards, map[int]*SearchResult{}); err == nil {
 		t.Fatalf("merge with missing shards accepted")

@@ -67,39 +67,40 @@ func TestStatsDoNotPerturbSearch(t *testing.T) {
 }
 
 // TestStatsShardGeometry pins the published shard table to the engine's
-// decomposition: workers*shardsPerWorker shards for a parallel enumeration
-// (capped at the space size), one for a serial one.
+// decomposition: the PlanShards geometry in every mode — workers x
+// shardsPerWorker enumeration ranges (capped at the space size) at one
+// worker and at several, with or without a checkpoint, and one shard per
+// candidate interval for the iterative heuristic.
 func TestStatsShardGeometry(t *testing.T) {
 	p := arPartitioning(t, 2, 1)
-	cfg := exp1Config()
-	preds, err := PredictPartitions(p, cfg)
+	base := exp1Config()
+	preds, err := PredictPartitions(p, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := obs.NewRunStats("geom")
-	cfg.Workers = 3
-	cfg.Stats = st
-	res, err := Search(p, cfg, preds, Enumeration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 3 * shardsPerWorker
-	if res.Trials < want {
-		want = res.Trials
-	}
-	if snap := st.Snapshot(); snap.Shards != want {
-		t.Fatalf("shards = %d, want %d (trials %d)", snap.Shards, want, res.Trials)
-	}
-
-	st2 := obs.NewRunStats("serial")
-	cfg.Workers = 1
-	cfg.CheckpointPath = ""
-	cfg.Stats = st2
-	if _, err := Search(p, cfg, preds, Enumeration); err != nil {
-		t.Fatal(err)
-	}
-	if snap := st2.Snapshot(); snap.Shards != 1 {
-		t.Fatalf("serial shards = %d, want 1", snap.Shards)
+	for _, h := range []Heuristic{Enumeration, Iterative} {
+		for _, workers := range []int{1, 3} {
+			for _, ckpt := range []bool{false, true} {
+				cfg := base
+				cfg.Workers = workers
+				if ckpt {
+					cfg.CheckpointPath = filepath.Join(t.TempDir(), "search.ckpt")
+				}
+				plan, err := PlanShards(p, cfg, preds, h, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := obs.NewRunStats("geom")
+				cfg.Stats = st
+				if _, err := Search(p, cfg, preds, h); err != nil {
+					t.Fatal(err)
+				}
+				if snap := st.Snapshot(); snap.Shards != plan.Shards || snap.ShardsDone != plan.Shards {
+					t.Fatalf("h=%s w=%d ckpt=%v: shards = %d (%d done), want %d",
+						h, workers, ckpt, snap.Shards, snap.ShardsDone, plan.Shards)
+				}
+			}
+		}
 	}
 }
 
@@ -118,7 +119,6 @@ func TestStatsCheckpointAndResume(t *testing.T) {
 	failCfg := cfg
 	failCfg.Workers = 2
 	failCfg.CheckpointPath = ckpt
-	failCfg.CheckpointEvery = 1
 	failCfg.Inject = resilience.MustParse("core.trial=error:@20")
 	st := obs.NewRunStats("interrupted")
 	failCfg.Stats = st
@@ -134,7 +134,6 @@ func TestStatsCheckpointAndResume(t *testing.T) {
 	resCfg := cfg
 	resCfg.Workers = 2
 	resCfg.CheckpointPath = ckpt
-	resCfg.CheckpointEvery = 1
 	resCfg.Resume = true
 	st2 := obs.NewRunStats("resumed")
 	resCfg.Stats = st2

@@ -25,8 +25,9 @@
 // else counts as a duplicate or superseded rejection. Work stealing
 // re-splits the tail of a slow lease onto idle workers under the same
 // fencing rules, so one straggler cannot dominate wall clock. Completed
-// shards are checkpointed (signed, atomic, chop-ckpt/1 envelope) so a
-// killed coordinator resumes without re-running finished shards.
+// shards are checkpointed through the search engine's checkpointer
+// (signed, atomic, chop-ckpt/1 envelope) so a killed coordinator resumes
+// without re-running finished shards.
 package dist
 
 import (
@@ -90,12 +91,11 @@ type Options struct {
 	// Poll is the worker status-poll cadence. Default 100ms.
 	Poll time.Duration
 
-	// CheckpointPath persists accepted shard results; Resume restores a
+	// CheckpointPath persists every accepted shard result in the search
+	// engine's checkpoint format (core.Checkpointer); Resume restores a
 	// matching snapshot so a restarted coordinator skips finished shards.
-	// CheckpointEvery sets the save cadence in accepted shards (default 1).
-	CheckpointPath  string
-	CheckpointEvery int
-	Resume          bool
+	CheckpointPath string
+	Resume         bool
 
 	Metrics *obs.Metrics
 	Trace   *obs.Tracer
@@ -162,9 +162,9 @@ type Coordinator struct {
 	pending []int // sorted shard indices awaiting a grant
 	epoch   []int64
 	done    map[int]*core.SearchResult
+	ckpt    *core.Checkpointer // persists done; nil without CheckpointPath
 	leases  map[int64]*lease
 	nextID  int64
-	ckptDue int // accepted shards since the last checkpoint save
 
 	resc chan outcome
 	wg   sync.WaitGroup
@@ -188,7 +188,6 @@ func New(specJSON []byte, o Options) (*Coordinator, error) {
 		o:    o,
 		raw:  append(json.RawMessage(nil), specJSON...),
 		prob: prob,
-		done: make(map[int]*core.SearchResult),
 		resc: make(chan outcome, 4*len(o.Workers)+16),
 	}
 	for _, u := range o.Workers {
@@ -237,7 +236,15 @@ func (c *Coordinator) Run(ctx context.Context) (core.SearchResult, []bad.Result,
 
 	c.epoch = make([]int64, plan.Shards)
 	c.leases = make(map[int64]*lease)
-	c.restoreCheckpoint()
+	// The checkpointer gets no context: a save racing a cancel still
+	// lands, so every accepted shard stays resumable.
+	c.ckpt, c.done = core.OpenCheckpointer(core.Config{
+		CheckpointPath: c.o.CheckpointPath, Resume: c.o.Resume,
+		Metrics: c.o.Metrics, Inject: c.o.Inject,
+	}, plan, c.root)
+	if len(c.done) > 0 {
+		c.o.Log.Info("resumed from checkpoint", "path", c.o.CheckpointPath, "shards", len(c.done))
+	}
 	for si := 0; si < plan.Shards; si++ {
 		if c.done[si] == nil {
 			c.pending = append(c.pending, si)
@@ -252,12 +259,10 @@ func (c *Coordinator) Run(ctx context.Context) (core.SearchResult, []bad.Result,
 	for len(c.done) < plan.Shards {
 		c.grantAll(lctx)
 		if err := c.checkStalled(); err != nil {
-			c.flushCheckpoint()
 			return core.SearchResult{}, preds, err
 		}
 		select {
 		case <-ctx.Done():
-			c.flushCheckpoint()
 			return core.SearchResult{}, preds, ctx.Err()
 		case oc := <-c.resc:
 			c.handleOutcome(oc)
@@ -266,7 +271,7 @@ func (c *Coordinator) Run(ctx context.Context) (core.SearchResult, []bad.Result,
 		}
 	}
 	c.drainGrace()
-	c.consumeCheckpoint()
+	c.ckpt.Finish()
 	res, err := core.MergeShardResults(h, plan.Shards, c.done)
 	if err == nil {
 		c.root.Point("merged", obs.F("trials", res.Trials), obs.F("best", len(res.Best)))
@@ -440,11 +445,10 @@ func (c *Coordinator) handleOutcome(o outcome) {
 				obs.F("reason", "duplicate"))
 		default:
 			c.done[si] = res
-			c.ckptDue++
+			c.ckpt.MarkDone(si, res)
 			c.o.Metrics.Inc("dist.results.accepted")
 		}
 	}
-	c.maybeCheckpoint()
 }
 
 // expireAndSteal is the ticker pass: expire leases whose renewals stopped

@@ -318,7 +318,7 @@ func TestDistCoordinatorKillResume(t *testing.T) {
 	}()
 	// Kill the coordinator as soon as the first checkpoint lands.
 	deadline := time.Now().Add(30 * time.Second)
-	for counter(t, m1, "dist.checkpoint.saves") == 0 {
+	for counter(t, m1, "resilience.checkpoint_saves") == 0 {
 		if time.Now().After(deadline) {
 			cancel1()
 			t.Fatalf("no checkpoint saved before deadline")
@@ -343,7 +343,7 @@ func TestDistCoordinatorKillResume(t *testing.T) {
 	if got != want {
 		t.Fatalf("resumed result diverged from serial")
 	}
-	if r := counter(t, m2, "dist.shards.resumed"); r == 0 {
+	if r := counter(t, m2, "resilience.checkpoint_resumed_shards"); r == 0 {
 		t.Fatalf("nothing resumed from the checkpoint")
 	}
 	if acc1, acc2 := counter(t, m1, "dist.results.accepted"), counter(t, m2, "dist.results.accepted"); acc1+acc2 < 6 {
@@ -356,10 +356,7 @@ func TestDistCoordinatorKillResume(t *testing.T) {
 func TestDistResumeRefusesForeignCheckpoint(t *testing.T) {
 	w1 := startWorker(t, serve.Options{})
 	path := t.TempDir() + "/dist.ckpt"
-	if err := resilience.SaveCheckpoint(path, checkpointKind, distCheckpoint{
-		Signature: "0000", Shards: 6,
-		Done: map[int]*core.SearchResult{0: {Trials: 999}},
-	}); err != nil {
+	if err := resilience.SaveCheckpoint(path, "chop/search-shards", foreignDone("0000")); err != nil {
 		t.Fatal(err)
 	}
 	raw := exampleSpec(t, "E")
@@ -373,11 +370,66 @@ func TestDistResumeRefusesForeignCheckpoint(t *testing.T) {
 	if got != want {
 		t.Fatalf("foreign checkpoint leaked into the merge")
 	}
-	if mm := counter(t, m, "dist.checkpoint.mismatch"); mm != 1 {
+	if mm := counter(t, m, "resilience.checkpoint_mismatch"); mm != 1 {
 		t.Fatalf("want 1 checkpoint mismatch, got %d", mm)
 	}
-	if r := counter(t, m, "dist.shards.resumed"); r != 0 {
+	if r := counter(t, m, "resilience.checkpoint_resumed_shards"); r != 0 {
 		t.Fatalf("foreign shards resumed: %d", r)
+	}
+}
+
+// foreignDone is a checkpoint payload with a bogus shard 0 result, signed
+// with sig.
+func foreignDone(sig string) any {
+	return struct {
+		Signature string                     `json:"signature"`
+		Shards    int                        `json:"shards"`
+		Done      map[int]*core.SearchResult `json:"done"`
+	}{sig, 6, map[int]*core.SearchResult{0: {Trials: 999}}}
+}
+
+// TestDistResumeIgnoresLegacyCoordinatorCheckpoint: coordinators used to
+// write their own "chop/dist-shards" checkpoint kind. A leftover file of
+// that kind — even one carrying the right plan signature — is a kind
+// mismatch: it is skipped, the search starts fresh, and the first save
+// overwrites it in the shared search-checkpoint format.
+func TestDistResumeIgnoresLegacyCoordinatorCheckpoint(t *testing.T) {
+	w1 := startWorker(t, serve.Options{})
+	raw := exampleSpec(t, "E")
+	want := serialJSON(t, raw)
+
+	prob, err := spec.Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds, err := core.PredictPartitions(prob.Partitioning, prob.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := core.PlanShards(prob.Partitioning, prob.Config, preds, prob.Heuristic, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/dist.ckpt"
+	if err := resilience.SaveCheckpoint(path, "chop/dist-shards", foreignDone(plan.Signature)); err != nil {
+		t.Fatal(err)
+	}
+	m := obs.NewMetrics()
+	o := fastOpts(m, w1.URL)
+	o.Shards = 6
+	o.CheckpointPath = path
+	o.Resume = true
+	if got := runDist(t, raw, o); got != want {
+		t.Fatalf("legacy checkpoint leaked into the merge")
+	}
+	if n := counter(t, m, "resilience.checkpoint_load_skipped"); n != 1 {
+		t.Fatalf("want the legacy file skipped once, got %d", n)
+	}
+	if r := counter(t, m, "resilience.checkpoint_resumed_shards"); r != 0 {
+		t.Fatalf("legacy shards resumed: %d", r)
+	}
+	if n := counter(t, m, "resilience.checkpoint_saves"); n == 0 {
+		t.Fatalf("no checkpoint saved over the legacy file")
 	}
 }
 

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"runtime/metrics"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,6 +61,10 @@ type phaseCell struct {
 	// the denominator for attribution coverage.
 	trialNS atomic.Int64
 	trials  atomic.Int64
+	// readNS accumulates the time alloc mode spends reading the heap
+	// counters, so trial brackets can leave out the reads of the phase
+	// brackets nested in them.
+	readNS atomic.Int64
 }
 
 // PhaseAccounter attributes search cost to named phases. Same shape as
@@ -69,36 +73,27 @@ type phaseCell struct {
 // profiling is off.
 //
 // Time accounting is always valid, serial or parallel. Allocation
-// accounting (EnableAllocCounting) reads process-wide heap counters from
-// runtime/metrics, so per-phase alloc deltas are only attributable when a
-// single goroutine is doing the allocating — `chop profile` therefore
-// runs its workload with Workers=1. Heap profiles do not carry pprof
-// labels, which is exactly why these counters exist.
+// accounting (EnableAllocCounting) reads the process-wide heap counters
+// of runtime.ReadMemStats, so per-phase alloc deltas are only attributable
+// when a single goroutine is doing the allocating — `chop profile`
+// therefore runs its workload with Workers=1. Heap profiles do not carry
+// pprof labels, which is exactly why these counters exist.
 type PhaseAccounter struct {
 	mu     sync.Mutex
 	shards []phaseCell
 	global phaseCell
 
 	allocMode atomic.Bool
-	// samples is the preallocated runtime/metrics read buffer; reading
-	// through it on every Begin/End must not itself allocate.
-	samples []metrics.Sample
+	// ms is the preallocated ReadMemStats buffer (reading through it on
+	// every Begin/End must not itself allocate), guarded by msMu.
+	msMu sync.Mutex
+	ms   runtime.MemStats
 }
-
-const (
-	metricAllocObjects = "/gc/heap/allocs:objects"
-	metricAllocBytes   = "/gc/heap/allocs:bytes"
-)
 
 // NewPhaseAccounter returns an accounter with a global cell and no
 // shard cells yet; StartSearch sizes the shard table.
 func NewPhaseAccounter() *PhaseAccounter {
-	return &PhaseAccounter{
-		samples: []metrics.Sample{
-			{Name: metricAllocObjects},
-			{Name: metricAllocBytes},
-		},
-	}
+	return &PhaseAccounter{}
 }
 
 // StartSearch sizes the per-shard cell table for a search with the given
@@ -130,6 +125,7 @@ func copyPhaseCell(dst, src *phaseCell) {
 	}
 	dst.trialNS.Store(src.trialNS.Load())
 	dst.trials.Store(src.trials.Load())
+	dst.readNS.Store(src.readNS.Load())
 }
 
 // EnableAllocCounting turns on per-phase allocation deltas. Only
@@ -166,16 +162,21 @@ func (a *PhaseAccounter) Shard(si int) *PhaseHandle {
 	return &PhaseHandle{a: a, cell: &a.shards[si]}
 }
 
-// readAllocs returns the cumulative heap allocation counters. Must only
-// be called in alloc mode; uses the preallocated sample buffer.
-func (a *PhaseAccounter) readAllocs() (objects, bytes uint64) {
-	metrics.Read(a.samples)
-	if a.samples[0].Value.Kind() == metrics.KindUint64 {
-		objects = a.samples[0].Value.Uint64()
-	}
-	if a.samples[1].Value.Kind() == metrics.KindUint64 {
-		bytes = a.samples[1].Value.Uint64()
-	}
+// readAllocs returns the cumulative heap allocation counters and books
+// the time the read took on the handle's cell. Must only be called in
+// alloc mode. ReadMemStats is exact at any bracket length because it
+// flushes the per-P allocation caches; runtime/metrics' /gc/heap/allocs
+// counters lag them and undercount short brackets. The price is a
+// stop-the-world per read, which is why brackets keep reads off their
+// clocks.
+func (h *PhaseHandle) readAllocs() (objects, bytes uint64) {
+	a := h.a
+	t0 := time.Now()
+	a.msMu.Lock()
+	runtime.ReadMemStats(&a.ms)
+	objects, bytes = a.ms.Mallocs, a.ms.TotalAlloc
+	a.msMu.Unlock()
+	h.cell.readNS.Add(time.Since(t0).Nanoseconds())
 	return objects, bytes
 }
 
@@ -201,11 +202,12 @@ func (h *PhaseHandle) Begin() PhaseToken {
 	if h == nil {
 		return PhaseToken{}
 	}
-	tok := PhaseToken{startNS: time.Now().UnixNano()}
+	var tok PhaseToken
 	if h.a.allocMode.Load() {
 		tok.alloc = true
-		tok.allocObjs, tok.allocB = h.a.readAllocs()
+		tok.allocObjs, tok.allocB = h.readAllocs()
 	}
+	tok.startNS = time.Now().UnixNano()
 	return tok
 }
 
@@ -218,7 +220,7 @@ func (h *PhaseHandle) End(tok PhaseToken, p Phase) {
 	h.cell.ns[p].Add(time.Now().UnixNano() - tok.startNS)
 	h.cell.count[p].Add(1)
 	if tok.alloc {
-		objs, b := h.a.readAllocs()
+		objs, b := h.readAllocs()
 		h.cell.allocs[p].Add(int64(objs - tok.allocObjs))
 		h.cell.bytes[p].Add(int64(b - tok.allocB))
 	}
@@ -230,6 +232,7 @@ func (h *PhaseHandle) End(tok PhaseToken, p Phase) {
 // worker owns its cell).
 type TrialToken struct {
 	startNS   int64
+	readNS    int64
 	schedNS   int64
 	xferNS    int64
 	allocObjs uint64
@@ -247,30 +250,32 @@ func (h *PhaseHandle) BeginTrial() TrialToken {
 		return TrialToken{}
 	}
 	tok := TrialToken{
-		startNS: time.Now().UnixNano(),
 		schedNS: h.cell.ns[PhaseSchedule].Load(),
 		xferNS:  h.cell.ns[PhaseXfer].Load(),
 	}
 	if h.a.allocMode.Load() {
 		tok.alloc = true
-		tok.allocObjs, tok.allocB = h.a.readAllocs()
+		tok.allocObjs, tok.allocB = h.readAllocs()
 		tok.schedObjs = h.cell.allocs[PhaseSchedule].Load()
 		tok.schedB = h.cell.bytes[PhaseSchedule].Load()
 		tok.xferObjs = h.cell.allocs[PhaseXfer].Load()
 		tok.xferB = h.cell.bytes[PhaseXfer].Load()
 	}
+	tok.readNS = h.cell.readNS.Load()
+	tok.startNS = time.Now().UnixNano()
 	return tok
 }
 
-// EndTrial closes a trial bracket: total wall time goes to trialNS, and
-// the portion not already booked to schedule or xfer during the trial is
+// EndTrial closes a trial bracket: total wall time, less the alloc-mode
+// counter reads of the brackets nested in it, goes to trialNS, and the
+// portion not already booked to schedule or xfer during the trial is
 // booked as PhaseIntegrate. Attribution therefore sums to the measured
 // trial time by construction.
 func (h *PhaseHandle) EndTrial(tok TrialToken) {
 	if h == nil {
 		return
 	}
-	total := time.Now().UnixNano() - tok.startNS
+	total := time.Now().UnixNano() - tok.startNS - (h.cell.readNS.Load() - tok.readNS)
 	h.cell.trialNS.Add(total)
 	h.cell.trials.Add(1)
 	rest := total -
@@ -282,7 +287,7 @@ func (h *PhaseHandle) EndTrial(tok TrialToken) {
 	h.cell.ns[PhaseIntegrate].Add(rest)
 	h.cell.count[PhaseIntegrate].Add(1)
 	if tok.alloc {
-		objs, b := h.a.readAllocs()
+		objs, b := h.readAllocs()
 		restObjs := int64(objs-tok.allocObjs) -
 			(h.cell.allocs[PhaseSchedule].Load() - tok.schedObjs) -
 			(h.cell.allocs[PhaseXfer].Load() - tok.xferObjs)
@@ -325,6 +330,10 @@ type PhaseSnapshot struct {
 	CoveragePct float64 `json:"coveragePct"`
 	// AllocMode records whether per-phase allocation deltas are valid.
 	AllocMode bool `json:"allocMode,omitempty"`
+	// ReadNS is the wall time alloc mode spent reading the heap counters.
+	// Phase and trial times exclude it; a caller timing the whole run
+	// subtracts it to report the program's own time.
+	ReadNS int64 `json:"readNS,omitempty"`
 }
 
 // PhaseNS returns the named phase's total ns, 0 when absent.
@@ -356,7 +365,7 @@ func (a *PhaseAccounter) Snapshot() *PhaseSnapshot {
 	a.mu.Unlock()
 
 	var ns, count, allocs, bytes [NumPhases]int64
-	var trialNS, trials int64
+	var trialNS, trials, readNS int64
 	for _, c := range cells {
 		for p := 0; p < NumPhases; p++ {
 			ns[p] += c.ns[p].Load()
@@ -366,6 +375,7 @@ func (a *PhaseAccounter) Snapshot() *PhaseSnapshot {
 		}
 		trialNS += c.trialNS.Load()
 		trials += c.trials.Load()
+		readNS += c.readNS.Load()
 	}
 
 	var totalNS int64
@@ -376,6 +386,7 @@ func (a *PhaseAccounter) Snapshot() *PhaseSnapshot {
 		Trials:    trials,
 		TrialNS:   trialNS,
 		AllocMode: a.allocMode.Load(),
+		ReadNS:    readNS,
 	}
 	for p := 0; p < NumPhases; p++ {
 		if count[p] == 0 && ns[p] == 0 {

@@ -178,6 +178,38 @@ func TestAllocCounting(t *testing.T) {
 	}
 }
 
+// TestAllocReadsStayOffTheClock: alloc mode's counter reads stop the
+// world, so brackets keep them off their clocks — a trial's booked time
+// plus every read fits inside the wall time around it, and attribution
+// still covers the whole trial.
+func TestAllocReadsStayOffTheClock(t *testing.T) {
+	a := NewPhaseAccounter()
+	a.StartSearch(1)
+	a.EnableAllocCounting()
+	h := a.Shard(0)
+	start := time.Now()
+	for i := 0; i < 20; i++ {
+		trial := h.BeginTrial()
+		tok := h.Begin()
+		h.End(tok, PhaseSchedule)
+		tok = h.Begin()
+		h.End(tok, PhaseXfer)
+		h.EndTrial(trial)
+	}
+	wall := time.Since(start).Nanoseconds()
+	snap := a.Snapshot()
+	if snap.ReadNS <= 0 {
+		t.Fatalf("no read time recorded in alloc mode: %+v", snap)
+	}
+	if snap.TrialNS+snap.ReadNS > wall {
+		t.Fatalf("trial time %d ns + reads %d ns exceed the %d ns wall time", snap.TrialNS, snap.ReadNS, wall)
+	}
+	inTrial := snap.PhaseNS("schedule") + snap.PhaseNS("xfer") + snap.PhaseNS("integrate")
+	if inTrial != snap.TrialNS {
+		t.Fatalf("in-trial phases sum to %d ns of %d ns trial time", inTrial, snap.TrialNS)
+	}
+}
+
 // TestRunStatsSnapshotCarriesPhases: an attached accounter surfaces in the
 // stats snapshot, and the first attachment wins.
 func TestRunStatsSnapshotCarriesPhases(t *testing.T) {

@@ -112,8 +112,7 @@ func shardJob(ctx context.Context, raw json.RawMessage, jc JobContext) (any, err
 		return nil, fmt.Errorf("shard: plan signature mismatch: request %.12s.., local %.12s..",
 			req.Signature, plan.Signature)
 	}
-	done, err := core.SearchShards(prob.Partitioning, prob.Config, preds, prob.Heuristic,
-		req.Shards, req.Indices)
+	done, err := core.SearchShards(prob.Partitioning, prob.Config, preds, plan, req.Indices)
 	if err != nil {
 		return nil, err
 	}

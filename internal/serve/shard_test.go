@@ -175,3 +175,45 @@ func TestShardJobValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestShardJobRunStats: a shard job's /stats describes the shards the job
+// ran — every one reaches done, the enumeration total is the size of the
+// leased combination ranges, and the iterative total stays unknown (0).
+func TestShardJobRunStats(t *testing.T) {
+	_, ts := newTestServer(t, Options{MaxConcurrent: 1})
+	for _, heuristic := range []string{"E", "I"} {
+		raw, plan, _ := exampleShardPlan(t, heuristic, 4)
+		if plan.Shards < 2 {
+			t.Fatalf("%s: want >= 2 shards, got %d", heuristic, plan.Shards)
+		}
+		indices := []int{plan.Shards - 1}
+		body, _ := json.Marshal(ShardRequest{
+			Spec: raw, Shards: plan.Shards, Indices: indices, Signature: plan.Signature,
+		})
+		c := &Client{Base: ts.URL}
+		st, err := c.Submit(context.Background(), SubmitSpec{Kind: "shard", Spec: body})
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		st = awaitDone(t, ts.URL, st.ID)
+		resp := decodeShardResponse(t, st.Result)
+		var p RunStatsPayload
+		if r := getJSON(t, ts.URL+"/api/v1/runs/"+st.ID+"/stats", &p); r.StatusCode != http.StatusOK {
+			t.Fatalf("%s: stats status = %d", heuristic, r.StatusCode)
+		}
+		s := p.Stats
+		if s.Shards != len(indices) || s.ShardsDone != s.Shards {
+			t.Fatalf("%s: stats shards %d done %d, want %d done", heuristic, s.Shards, s.ShardsDone, len(indices))
+		}
+		if s.Trials != int64(resp.Trials) {
+			t.Fatalf("%s: stats trials %d, job ran %d", heuristic, s.Trials, resp.Trials)
+		}
+		wantTotal := int64(resp.Trials)
+		if heuristic == "I" {
+			wantTotal = 0
+		}
+		if s.Total != wantTotal {
+			t.Fatalf("%s: stats total %d, want %d", heuristic, s.Total, wantTotal)
+		}
+	}
+}

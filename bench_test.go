@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	chop "chop"
+	"chop/internal/core"
 	"chop/internal/experiments"
 )
 
@@ -161,6 +162,57 @@ func BenchmarkSearch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkIntegrate isolates one integration — transfer sizing, urgency
+// scheduling, buffer and area prediction, feasibility — cycling through
+// every combination of the 3-partition predictions. One op is one trial.
+// Each op returns the design as it escapes the search (Reason formatted,
+// slices copied), so allocs/op counts that escape copy on top of what a
+// search trial that leaves no design behind pays (see TestTrialAllocs).
+func BenchmarkIntegrate(b *testing.B) {
+	p := arSetup(3)
+	cfg := exp1Config()
+	preds, err := chop.PredictPartitions(p, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type combo struct {
+		choice []chop.Design
+		l      int
+	}
+	var combos []combo
+	idx := make([]int, len(preds))
+	for {
+		c := combo{choice: make([]chop.Design, len(preds))}
+		for i, j := range idx {
+			c.choice[i] = preds[i].Designs[j]
+			c.l = max(c.l, c.choice[i].IIMainCycles(cfg.Clocks))
+		}
+		combos = append(combos, c)
+		i := len(idx) - 1
+		for ; i >= 0; i-- {
+			if idx[i]++; idx[i] < len(preds[i].Designs) {
+				break
+			}
+			idx[i] = 0
+		}
+		if i < 0 {
+			break
+		}
+	}
+	it := core.NewDebugIntegrator(p, cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := combos[i%len(combos)]
+		designSink = it.Eval(c.choice, c.l)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(combos)), "combinations")
+}
+
+// designSink keeps BenchmarkIntegrate's calls from being optimized away.
+var designSink core.GlobalDesign
 
 // BenchmarkSearchParallel measures the search engine at several worker
 // counts on the synthetic stress graph: one KeepAll

@@ -17,7 +17,8 @@ import (
 //	chop profile -compare profiles/baseline         # diff, exit 1 on regression
 //
 // The attribution table breaks each search trial into the pipeline's named
-// phases (predict, cache-lookup, schedule, xfer, integrate, checkpoint);
+// phases (predict, cache-lookup, schedule, xfer, integrate, checkpoint,
+// compile);
 // the saved cpu.pprof carries matching pprof labels (workload, run, phase,
 // shard) so `go tool pprof -tagfocus` slices along the same axes.
 func profile(args []string) error {

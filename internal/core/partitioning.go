@@ -261,7 +261,8 @@ type Config struct {
 	// byte-identical to results without.
 	Stats *obs.RunStats
 	// Phases, when non-nil, attributes trial cost to named phases
-	// (predict, cache-lookup, schedule, xfer, integrate, checkpoint):
+	// (predict, cache-lookup, schedule, xfer, integrate, checkpoint,
+	// compile):
 	// wall time always, allocation deltas when the accounter runs in
 	// alloc mode (`chop profile`, Workers=1 only). Like Stats, phase
 	// accounting never influences the search — results with phases

@@ -12,15 +12,13 @@ import (
 // paper's plain loops with no shards, workers, checkpoints or
 // instrumentation: for the enumeration heuristic an odometer over the whole
 // combination space, for the iterative heuristic the Figure-5 loop over the
-// candidate intervals in ascending order. Both call integrate directly. The
+// candidate intervals in ascending order. Both evaluate through
+// DebugIntegrator.Eval, which hands back designs the caller owns. The
 // engine's results at every worker count, resumed from any checkpoint, and
 // merged from any shard split must equal it.
 func referenceSearch(t *testing.T, p *Partitioning, cfg Config, preds []bad.Result, h Heuristic) SearchResult {
 	t.Helper()
-	it, err := newIntegrator(p, cfg)
-	if err != nil {
-		t.Fatalf("reference: %v", err)
-	}
+	it := NewDebugIntegrator(p, cfg)
 	lists := make([][]bad.Design, len(preds))
 	for i, r := range preds {
 		lists[i] = r.Designs
@@ -31,10 +29,7 @@ func referenceSearch(t *testing.T, p *Partitioning, cfg Config, preds []bad.Resu
 	res := SearchResult{Heuristic: h}
 	eval := func(choice []bad.Design, l int) GlobalDesign {
 		res.Trials++
-		g, err := it.integrate(choice, l, nil)
-		if err != nil {
-			t.Fatalf("reference: integrate: %v", err)
-		}
+		g := it.Eval(choice, l)
 		if g.Feasible {
 			res.FeasibleTrials++
 			res.Best = append(res.Best, g)

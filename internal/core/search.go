@@ -237,8 +237,8 @@ func enumSpaceSize(cfg Config, lists [][]bad.Design) (int, error) {
 }
 
 // enumTrial evaluates the combination named by s.idx. The choice scratch
-// is decoded in place (no allocation) and cloned only as the evaluated
-// combination escapes into the result.
+// is decoded in place (no allocation); it is copied only when the
+// evaluated design leaves the search (record).
 func (s *shard) enumTrial() error {
 	for i, j := range s.idx {
 		s.choice[i] = s.lists[i][j]
@@ -251,15 +251,16 @@ func (s *shard) enumTrial() error {
 			l = ii
 		}
 	}
-	_, err := s.trial(cloneChoice(s.choice), l)
+	_, err := s.trial(s.choice, l)
 	return err
 }
 
 // trial evaluates one combination at system interval l and books it into
-// the shard's result.
-func (s *shard) trial(choice []bad.Design, l int) (GlobalDesign, error) {
+// the shard's result. The returned design's slices are the shard's trial
+// scratch, valid until its next trial.
+func (s *shard) trial(choice []bad.Design, l int) (*GlobalDesign, error) {
 	s.res.Trials++
-	g, err := s.it.evalTrial(s.sp, s.ss, s.ph, choice, l)
+	g, err := s.it.evalTrial(s.sc, s.sp, s.ss, s.ph, choice, l)
 	if err != nil {
 		return g, err
 	}
@@ -337,11 +338,8 @@ func (s *shard) iterate(l int) error {
 		if err := s.interrupted(); err != nil {
 			return err
 		}
-		choice := make([]bad.Design, len(lists))
-		for i := range lists {
-			choice[i] = lists[i][w[i]]
-		}
-		g, err := s.trial(choice, l)
+		pick(s.choice, lists, w)
+		g, err := s.trial(s.choice, l)
 		if err != nil {
 			return err
 		}
@@ -349,7 +347,8 @@ func (s *shard) iterate(l int) error {
 			return nil // Q := nil
 		}
 		// Q: partitions residing on chips whose area constraint was
-		// violated by the last integration prediction.
+		// violated by the last integration prediction (read before the
+		// next trial reuses g's scratch).
 		q := partitionsOnChips(s.it.p, g.AreaViolations)
 		if len(q) == 0 {
 			return nil
@@ -362,12 +361,9 @@ func (s *shard) iterate(l int) error {
 			if ni < 0 {
 				continue
 			}
-			trial := make([]bad.Design, len(lists))
-			for i := range lists {
-				trial[i] = lists[i][w[i]]
-			}
-			trial[pi] = lists[pi][ni]
-			tg, err := s.trial(trial, l)
+			pick(s.choice, lists, w)
+			s.choice[pi] = lists[pi][ni]
+			tg, err := s.trial(s.choice, l)
 			if err != nil {
 				return err
 			}
@@ -395,7 +391,7 @@ func (s *shard) iterate(l int) error {
 // selectable at system interval l, or -1.
 func nextValid(list []bad.Design, from, l int, cfg Config) int {
 	for i := from + 1; i < len(list); i++ {
-		if selectionOK(list[i], l, cfg.Clocks) {
+		if selectionOK(&list[i], l, cfg.Clocks) {
 			return i
 		}
 	}
@@ -418,24 +414,27 @@ func partitionsOnChips(p *Partitioning, chips []int) []int {
 	return out
 }
 
-func cloneChoice(c []bad.Design) []bad.Design {
-	out := make([]bad.Design, len(c))
-	copy(out, c)
-	return out
+// pick writes the designs w selects into choice.
+func pick(choice []bad.Design, lists [][]bad.Design, w []int) {
+	for i, j := range w {
+		choice[i] = lists[i][j]
+	}
 }
 
 // record books a trial into the search result, applying level-2 pruning:
 // infeasible global predictions are discarded immediately unless KeepAll.
-// The pruning decision is emitted as a trace event when tracing is on.
+// The pruning decision is emitted as a trace event when tracing is on. A
+// feasible design leaves the search here, so it is the one that gets its
+// own copies of the trial's slices.
 //
 // record always appends to a single-goroutine result: a one-worker
 // search's one SearchResult, or a shard's private buffer (see mergeShards).
 // KeepAll runs therefore never interleave Space appends across shards, and
 // no mutex guards the result.
-func record(res *SearchResult, cfg Config, g GlobalDesign, sp *obs.Span) {
+func record(res *SearchResult, cfg Config, g *GlobalDesign, sp *obs.Span) {
 	if g.Feasible {
 		res.FeasibleTrials++
-		res.Best = append(res.Best, g)
+		res.Best = append(res.Best, g.own())
 	} else if sp != nil && !cfg.KeepAll {
 		sp.Point("prune", obs.F("reason", g.ReasonCode.String()))
 	}

@@ -48,6 +48,9 @@ func TestNextValidEdgeCases(t *testing.T) {
 	}
 }
 
+// TestCloneChoiceIsolation checks that a design leaving the search owns
+// its slices: the enumeration loop reuses its choice scratch and the
+// shard's trial frames, while recorded designs keep their snapshots.
 func TestCloneChoiceIsolation(t *testing.T) {
 	sets, err := lib.Table1Library().EnumerateSets([]dfg.Op{dfg.OpAdd, dfg.OpMul})
 	if err != nil || len(sets) == 0 {
@@ -58,24 +61,31 @@ func TestCloneChoiceIsolation(t *testing.T) {
 		{Style: bad.NonPipelined, II: 3, ModuleSet: ms},
 		{Style: bad.Pipelined, II: 5, ModuleSet: ms},
 	}
-	clone := cloneChoice(orig)
-	if !reflect.DeepEqual(orig, clone) {
-		t.Fatal("clone differs from original")
+	chips := []int{0, 1}
+	scratch := GlobalDesign{Choice: orig, ChipPins: []int{7, 8},
+		Schedule: []TaskSpan{{Name: "P1"}, {Name: "T", Chips: chips}}}
+	owned := scratch.own()
+	if !reflect.DeepEqual(scratch, owned) {
+		t.Fatal("owned design differs from the original")
 	}
-	// Top-level aliasing: mutating the clone's elements must not reach the
-	// original slice (the enumeration loop reuses its scratch buffer while
-	// recorded trials keep their snapshots).
-	clone[0].II = 99
-	clone[1] = bad.Design{}
-	if orig[0].II != 3 || orig[1].Style != bad.Pipelined {
-		t.Fatalf("mutating clone leaked into original: %+v", orig)
+	// Top-level aliasing: mutating the scratch must not reach the owned
+	// design.
+	orig[0].II = 99
+	orig[1] = bad.Design{}
+	scratch.ChipPins[0] = 0
+	chips[1] = 5
+	if owned.Choice[0].II != 3 || owned.Choice[1].Style != bad.Pipelined {
+		t.Fatalf("mutating the choice scratch leaked into the owned design: %+v", owned.Choice)
 	}
-	// Empty and nil inputs stay usable.
-	if got := cloneChoice(nil); len(got) != 0 {
-		t.Fatalf("cloneChoice(nil) = %v", got)
+	if owned.ChipPins[0] != 7 || owned.Schedule[1].Chips[1] != 1 {
+		t.Fatalf("mutating the trial frame leaked into the owned design: %+v", owned)
 	}
-	if got := cloneChoice([]bad.Design{}); len(got) != 0 {
-		t.Fatalf("cloneChoice(empty) = %v", got)
+	// Nil slices stay nil, empty ones empty.
+	if got := (GlobalDesign{}).own(); got.Choice != nil || got.Schedule != nil || got.Modules != nil {
+		t.Fatalf("own of the zero design = %+v", got)
+	}
+	if got := (GlobalDesign{Choice: []bad.Design{}}).own(); got.Choice == nil || len(got.Choice) != 0 {
+		t.Fatalf("own of an empty choice = %v", got.Choice)
 	}
 }
 

@@ -275,9 +275,9 @@ func TestRecordKeepAllSpacePoints(t *testing.T) {
 	// Early-rejected combination (rate mismatch / data clash): integration
 	// never predicted areas, so it contributes no space point.
 	early := GlobalDesign{Feasible: false, ReasonCode: ReasonRateMismatch}
-	record(&res, cfg, feasible, nil)
-	record(&res, cfg, infeasible, nil)
-	record(&res, cfg, early, nil)
+	record(&res, cfg, &feasible, nil)
+	record(&res, cfg, &infeasible, nil)
+	record(&res, cfg, &early, nil)
 	if res.FeasibleTrials != 1 || len(res.Best) != 1 {
 		t.Fatalf("feasible bookkeeping: %d trials, %d best", res.FeasibleTrials, len(res.Best))
 	}
@@ -299,8 +299,8 @@ func TestRecordEmitsPruneEvents(t *testing.T) {
 	tr := obs.New(cs)
 	sp := tr.Span("Search")
 	var res SearchResult
-	record(&res, Config{}, GlobalDesign{Feasible: false, ReasonCode: ReasonArea}, sp)
-	record(&res, Config{}, GlobalDesign{Feasible: true}, sp)
+	record(&res, Config{}, &GlobalDesign{Feasible: false, ReasonCode: ReasonArea}, sp)
+	record(&res, Config{}, &GlobalDesign{Feasible: true}, sp)
 	sp.End()
 	if got := cs.Count(obs.KindPoint, "prune"); got != 1 {
 		t.Fatalf("prune points = %d, want 1", got)
@@ -309,7 +309,7 @@ func TestRecordEmitsPruneEvents(t *testing.T) {
 	cs2 := obs.NewCountingSink()
 	sp2 := obs.New(cs2).Span("Search")
 	var res2 SearchResult
-	record(&res2, Config{KeepAll: true}, GlobalDesign{Feasible: false}, sp2)
+	record(&res2, Config{KeepAll: true}, &GlobalDesign{Feasible: false}, sp2)
 	sp2.End()
 	if got := cs2.Count(obs.KindPoint, "prune"); got != 0 {
 		t.Fatalf("KeepAll emitted %d prune points", got)
@@ -426,4 +426,33 @@ func seqInts(n int) []int {
 		s[i] = i
 	}
 	return s
+}
+
+// TestTrialAllocs is the allocation gate of the compiled integrator: a
+// full enumeration search of the three-partition AR filter, one worker and
+// no hooks, allocates at most 16 objects per trial — the integrator
+// compilation and the feasible designs that leave the search, spread over
+// all trials. Rejected trials allocate nothing.
+func TestTrialAllocs(t *testing.T) {
+	p := arPartitioning(t, 3, 1)
+	cfg := exp1Config()
+	cfg.Workers = 1
+	preds, err := PredictPartitions(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res SearchResult
+	allocs := testing.AllocsPerRun(5, func() {
+		if res, err = Search(p, cfg, preds, Enumeration); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if res.Trials == 0 {
+		t.Fatal("search examined no trials")
+	}
+	perTrial := allocs / float64(res.Trials)
+	t.Logf("%.0f allocs per search, %d trials: %.2f allocs per trial", allocs, res.Trials, perTrial)
+	if perTrial > 16 {
+		t.Fatalf("%.2f allocs per trial, want <= 16", perTrial)
+	}
 }

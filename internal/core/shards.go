@@ -132,8 +132,8 @@ type shardOut struct {
 
 // shard is one shard's execution state and the only argument trial code
 // takes: where its trials book, its live stats cell and phase handle, the
-// decode scratch a worker reuses across the shards it runs, and through
-// the engine the span, integrator and design lists.
+// decode and trial scratch a worker reuses across the shards it runs, and
+// through the engine the span, integrator and design lists.
 type shard struct {
 	*engine
 	res    *SearchResult
@@ -141,6 +141,7 @@ type shard struct {
 	ph     *obs.PhaseHandle
 	idx    []int
 	choice []bad.Design
+	sc     *trialScratch
 }
 
 // errShardInterrupted marks a shard abandoned mid-range because another
@@ -156,8 +157,11 @@ var errShardInterrupted = errors.New("core: shard interrupted")
 func (e *engine) drain(order []int, outs []shardOut, into *SearchResult) {
 	var cursor atomic.Int64
 	work := func() {
-		s := &shard{engine: e,
+		ph := e.cfg.Phases.Global()
+		tok := ph.Begin()
+		s := &shard{engine: e, sc: e.it.newScratch(),
 			idx: make([]int, len(e.lists)), choice: make([]bad.Design, len(e.lists))}
+		ph.End(tok, obs.PhaseCompile)
 		for {
 			k := int(cursor.Add(1)) - 1
 			if k >= len(order) || e.aborted.Load() {

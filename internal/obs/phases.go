@@ -29,6 +29,10 @@ const (
 	PhaseIntegrate
 	// PhaseCheckpoint is search-checkpoint serialization + persistence.
 	PhaseCheckpoint
+	// PhaseCompile is the integrator compilation a search does once per
+	// partitioning, before its trials: transfer tasks, pin budgets, the
+	// urgency task graph and each worker's trial scratch.
+	PhaseCompile
 	// NumPhases bounds the per-cell counter arrays.
 	NumPhases int = iota
 )
@@ -40,6 +44,7 @@ var phaseNames = [NumPhases]string{
 	PhaseXfer:        "xfer",
 	PhaseIntegrate:   "integrate",
 	PhaseCheckpoint:  "checkpoint",
+	PhaseCompile:     "compile",
 }
 
 func (p Phase) String() string {

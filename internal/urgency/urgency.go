@@ -4,26 +4,121 @@
 // builds a task schedule that shares chip pins feasibly while minimizing the
 // overall system delay. The urgency measure is the task's critical-path
 // distance to the schedule's end, as in Sehwa (paper reference [8]).
+//
+// The task graph — dependencies, topological order and which resources
+// each task occupies — is compiled once (Compile); a Scheduler then
+// schedules it for any number of duration and width vectors, reusing its
+// buffers, so a call allocates nothing.
 package urgency
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Task is one schedulable unit: a partition execution or a data transfer.
-type Task struct {
+// TaskSpec is one schedulable unit of a task graph: a partition execution
+// or a data transfer.
+type TaskSpec struct {
 	Name string
-	// Dur is the task duration in main-clock cycles (>= 0).
-	Dur int
 	// Deps lists the indices of tasks that must finish before this one
 	// starts.
 	Deps []int
-	// Pins maps chip index -> pins occupied on that chip while the task
-	// runs. Partition executions occupy no pins; transfers occupy their
-	// bus width on every involved chip.
-	Pins map[int]int
+	// Uses lists the distinct resource indices the task occupies while it
+	// runs. It holds the same amount of each, its per-call width
+	// (Scheduler.Run): a transfer's bus width on every chip it spans, one
+	// port of every memory block a partition accesses.
+	Uses []int
 }
+
+// Resource is one capacity-limited resource: a chip's transfer pins or a
+// memory block's ports.
+type Resource struct {
+	// ID names the resource in error messages ("chip <ID>").
+	ID int
+	// Cap is the capacity: pins available, or ports.
+	Cap int
+}
+
+// Graph is a compiled task graph. It is read-only after Compile and may be
+// shared by any number of Schedulers.
+type Graph struct {
+	names []string
+	// succ lists task i's successors as succ[succOff[i]:succOff[i+1]].
+	succOff, succ []int
+	indeg         []int
+	// order is a topological order of the tasks.
+	order []int
+	// use lists task i's resources as useRes[useOff[i]:useOff[i+1]].
+	useOff, useRes []int
+	res            []Resource
+}
+
+// Compile checks and compiles a task graph over the given resources. It
+// returns an error when a dependency is out of range or on the task
+// itself, when a use names no resource, or when the graph is cyclic.
+func Compile(tasks []TaskSpec, res []Resource) (*Graph, error) {
+	n := len(tasks)
+	g := &Graph{
+		names:   make([]string, n),
+		succOff: make([]int, n+1),
+		indeg:   make([]int, n),
+		useOff:  make([]int, n+1),
+		res:     append([]Resource(nil), res...),
+	}
+	for i, t := range tasks {
+		g.names[i] = t.Name
+		for _, d := range t.Deps {
+			if d < 0 || d >= n {
+				return nil, fmt.Errorf("urgency: task %q has dependency %d out of range", t.Name, d)
+			}
+			if d == i {
+				return nil, fmt.Errorf("urgency: task %q depends on itself", t.Name)
+			}
+			g.succOff[d+1]++
+			g.indeg[i]++
+		}
+		for _, r := range t.Uses {
+			if r < 0 || r >= len(res) {
+				return nil, fmt.Errorf("urgency: task %q uses resource %d out of range", t.Name, r)
+			}
+		}
+		g.useRes = append(g.useRes, t.Uses...)
+		g.useOff[i+1] = len(g.useRes)
+	}
+	for i := 0; i < n; i++ {
+		g.succOff[i+1] += g.succOff[i]
+	}
+	g.succ = make([]int, g.succOff[n])
+	fill := append([]int(nil), g.succOff[:n]...)
+	for i, t := range tasks {
+		for _, d := range t.Deps {
+			g.succ[fill[d]] = i
+			fill[d]++
+		}
+	}
+	// Kahn's algorithm; the order only fixes the priority recurrence, so
+	// any topological order gives the same schedule.
+	deg := append([]int(nil), g.indeg...)
+	for i, d := range deg {
+		if d == 0 {
+			g.order = append(g.order, i)
+		}
+	}
+	for k := 0; k < len(g.order); k++ {
+		for _, s := range g.succ[g.succOff[g.order[k]]:g.succOff[g.order[k]+1]] {
+			if deg[s]--; deg[s] == 0 {
+				g.order = append(g.order, s)
+			}
+		}
+	}
+	if len(g.order) != n {
+		return nil, fmt.Errorf("urgency: task graph has a cycle")
+	}
+	return g, nil
+}
+
+// Len returns the task count.
+func (g *Graph) Len() int { return len(g.names) }
+
+// Name returns task i's name.
+func (g *Graph) Name(i int) string { return g.names[i] }
 
 // Result is the computed task schedule.
 type Result struct {
@@ -39,241 +134,192 @@ type Result struct {
 type Stats struct {
 	// Tasks is the number of tasks scheduled.
 	Tasks int
-	// Cycles is the number of wall cycles the scheduler stepped through.
+	// Cycles is the length of the cycle-by-cycle schedule the task graph
+	// defines: the last launch time plus one.
 	Cycles int
 	// Makespan duplicates Result.Makespan for convenience.
 	Makespan int
 }
 
-// Schedule computes an urgency-driven resource-constrained schedule. cap
-// maps chip index -> available pins. It returns an error when a task
-// demands more pins than its chip has (structurally infeasible), when
-// dependencies are malformed, or when the task graph is cyclic.
-func Schedule(tasks []Task, cap map[int]int) (Result, error) {
-	res, _, err := ScheduleStats(tasks, cap)
-	return res, err
+// Scheduler schedules one compiled graph with reusable buffers. It is not
+// safe for concurrent use; give each goroutine its own.
+type Scheduler struct {
+	g                                   *Graph
+	start, finish, urg, unmet, earliest []int
+	free, ready, next, active           []int
 }
 
-// ScheduleStats is Schedule plus effort statistics.
-func ScheduleStats(tasks []Task, cap map[int]int) (Result, Stats, error) {
-	n := len(tasks)
+// NewScheduler returns a Scheduler for g.
+func NewScheduler(g *Graph) *Scheduler {
+	n := g.Len()
+	return &Scheduler{
+		g:     g,
+		start: make([]int, n), finish: make([]int, n), urg: make([]int, n),
+		unmet: make([]int, n), earliest: make([]int, n),
+		free:  make([]int, len(g.res)),
+		ready: make([]int, 0, n), next: make([]int, 0, n), active: make([]int, 0, n),
+	}
+}
+
+// Run computes the urgency-driven resource-constrained schedule for task
+// durations dur (main-clock cycles, >= 0) and widths width (the amount of
+// each of its resources a task holds while it runs). Tasks launch in
+// decreasing urgency, ties to the lower index, whenever their
+// predecessors have finished and every resource they use has room; a
+// zero-duration task releases its resources at once, so its successors
+// cascade within the same cycle. Instead of stepping cycle by cycle, Run
+// jumps from one event to the next: the earliest finish of a running task,
+// or the earliest time a ready task's predecessors allow. It returns an
+// error when a duration is negative, or a task that uses resources has a
+// negative width or one exceeding a resource's capacity. Result.Start is
+// the Scheduler's buffer, valid until the next call.
+func (s *Scheduler) Run(dur, width []int) (Result, Stats, error) {
+	g := s.g
+	n := g.Len()
 	if n == 0 {
 		return Result{}, Stats{}, nil
 	}
-	for i, t := range tasks {
-		if t.Dur < 0 {
-			return Result{}, Stats{}, fmt.Errorf("urgency: task %q has negative duration", t.Name)
+	for i := 0; i < n; i++ {
+		if dur[i] < 0 {
+			return Result{}, Stats{}, fmt.Errorf("urgency: task %q has negative duration", g.names[i])
 		}
-		for _, d := range t.Deps {
-			if d < 0 || d >= n {
-				return Result{}, Stats{}, fmt.Errorf("urgency: task %q has dependency %d out of range", t.Name, d)
-			}
-			if d == i {
-				return Result{}, Stats{}, fmt.Errorf("urgency: task %q depends on itself", t.Name)
-			}
-		}
-		for chip, p := range t.Pins {
-			if p > cap[chip] {
+		for _, ri := range g.useRes[g.useOff[i]:g.useOff[i+1]] {
+			r := g.res[ri]
+			if width[i] > r.Cap {
 				return Result{}, Stats{}, fmt.Errorf("urgency: task %q needs %d pins on chip %d (capacity %d)",
-					t.Name, p, chip, cap[chip])
+					g.names[i], width[i], r.ID, r.Cap)
 			}
-			if p < 0 {
-				return Result{}, Stats{}, fmt.Errorf("urgency: task %q has negative pin demand", t.Name)
+			if width[i] < 0 {
+				return Result{}, Stats{}, fmt.Errorf("urgency: task %q has negative pin demand", g.names[i])
 			}
 		}
-	}
-	succs := make([][]int, n)
-	indeg := make([]int, n)
-	for i, t := range tasks {
-		for _, d := range t.Deps {
-			succs[d] = append(succs[d], i)
-			indeg[i]++
-		}
-	}
-	order, err := topo(tasks, succs, indeg)
-	if err != nil {
-		return Result{}, Stats{}, err
 	}
 	// Urgency: longest path (inclusive) from the task to any sink.
-	urg := make([]int, n)
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		max := 0
-		for _, s := range succs[id] {
-			if urg[s] > max {
-				max = urg[s]
-			}
+	for k := n - 1; k >= 0; k-- {
+		id := g.order[k]
+		u := 0
+		for _, su := range g.succ[g.succOff[id]:g.succOff[id+1]] {
+			u = max(u, s.urg[su])
 		}
-		urg[id] = max + tasks[id].Dur
+		s.urg[id] = u + dur[id]
 	}
-
-	start := make([]int, n)
-	for i := range start {
-		start[i] = -1
+	for i, r := range g.res {
+		s.free[i] = r.Cap
 	}
-	finish := make([]int, n)
-	unmet := make([]int, n)
-	copy(unmet, indeg)
-	ready := []int{}
-	for i, d := range unmet {
-		if d == 0 {
+	copy(s.unmet, g.indeg)
+	ready := s.ready[:0]
+	for i := 0; i < n; i++ {
+		s.start[i], s.earliest[i] = -1, 0
+		if s.unmet[i] == 0 {
 			ready = append(ready, i)
 		}
 	}
-	earliest := make([]int, n)
-	type running struct{ id, finish int }
-	var active []running
-	free := make(map[int]int, len(cap))
-	for c, p := range cap {
-		free[c] = p
-	}
-	scheduled := 0
-	makespan := 0
-	cycles := 0
-	for t := 0; scheduled < n; t++ {
-		cycles = t + 1
-		// Retire finished tasks, releasing pins and readying successors.
+	next, active := s.next[:0], s.active[:0]
+	scheduled, makespan, last := 0, 0, 0
+	for t := 0; ; {
+		// Retire finished tasks, releasing their resources.
 		kept := active[:0]
-		for _, r := range active {
-			if r.finish > t {
-				kept = append(kept, r)
-				continue
-			}
-			for c, p := range tasks[r.id].Pins {
-				free[c] += p
+		for _, id := range active {
+			if s.finish[id] > t {
+				kept = append(kept, id)
+			} else {
+				s.release(id, width[id])
 			}
 		}
 		active = kept
 		// Launch ready tasks, most urgent first; sweep until fixpoint so
-		// zero-duration tasks cascade within the same cycle.
+		// zero-duration tasks cascade within the same cycle. Tasks readied
+		// during a sweep wait for the next one.
 		for progress := true; progress; {
 			progress = false
-			sort.Slice(ready, func(a, b int) bool {
-				if urg[ready[a]] != urg[ready[b]] {
-					return urg[ready[a]] > urg[ready[b]]
-				}
-				return ready[a] < ready[b]
-			})
-			var still []int
+			s.sortReady(ready)
+			next = next[:0]
 			for _, id := range ready {
-				if earliest[id] > t || !pinsFree(tasks[id].Pins, free) {
-					still = append(still, id)
+				if s.earliest[id] > t || !s.fits(id, width[id]) {
+					next = append(next, id)
 					continue
 				}
-				for c, p := range tasks[id].Pins {
-					free[c] -= p
-				}
-				start[id] = t
-				finish[id] = t + tasks[id].Dur
-				if finish[id] > makespan {
-					makespan = finish[id]
-				}
-				if tasks[id].Dur > 0 {
-					active = append(active, running{id, finish[id]})
+				s.release(id, -width[id]) // take its resources
+				s.start[id], s.finish[id] = t, t+dur[id]
+				makespan = max(makespan, s.finish[id])
+				if dur[id] > 0 {
+					active = append(active, id)
 				} else {
-					for c, p := range tasks[id].Pins {
-						free[c] += p
-					}
+					s.release(id, width[id])
 				}
 				scheduled++
+				last = t
 				progress = true
-				for _, s := range succs[id] {
-					if finish[id] > earliest[s] {
-						earliest[s] = finish[id]
-					}
-					unmet[s]--
-					if unmet[s] == 0 {
-						still = append(still, s)
+				for _, su := range g.succ[g.succOff[id]:g.succOff[id+1]] {
+					s.earliest[su] = max(s.earliest[su], s.finish[id])
+					if s.unmet[su]--; s.unmet[su] == 0 {
+						next = append(next, su)
 					}
 				}
 			}
-			ready = still
+			ready, next = next, ready
 		}
-		if t > horizonFor(tasks) && scheduled < n {
+		if scheduled == n {
+			break
+		}
+		// Nothing more can launch before the next event.
+		nt := -1
+		for _, id := range active {
+			if nt < 0 || s.finish[id] < nt {
+				nt = s.finish[id]
+			}
+		}
+		for _, id := range ready {
+			if e := s.earliest[id]; e > t && (nt < 0 || e < nt) {
+				nt = e
+			}
+		}
+		if nt < 0 {
 			return Result{}, Stats{}, fmt.Errorf("urgency: schedule did not converge after %d cycles", t)
 		}
+		t = nt
 	}
-	return Result{Start: start, Makespan: makespan},
-		Stats{Tasks: n, Cycles: cycles, Makespan: makespan}, nil
+	s.ready, s.next, s.active = ready[:0], next[:0], active[:0]
+	return Result{Start: s.start, Makespan: makespan},
+		Stats{Tasks: n, Cycles: last + 1, Makespan: makespan}, nil
 }
 
-func pinsFree(need map[int]int, free map[int]int) bool {
-	for c, p := range need {
-		if free[c] < p {
+// fits reports whether every resource task id uses has room for w more.
+func (s *Scheduler) fits(id, w int) bool {
+	g := s.g
+	for _, r := range g.useRes[g.useOff[id]:g.useOff[id+1]] {
+		if s.free[r] < w {
 			return false
 		}
 	}
 	return true
 }
 
-func horizonFor(tasks []Task) int {
-	h := 16
-	for _, t := range tasks {
-		h += t.Dur + 1
+// release returns w of each of task id's resources (takes them when w is
+// negative).
+func (s *Scheduler) release(id, w int) {
+	g := s.g
+	for _, r := range g.useRes[g.useOff[id]:g.useOff[id+1]] {
+		s.free[r] += w
 	}
-	return h * 2
 }
 
-func topo(tasks []Task, succs [][]int, indeg []int) ([]int, error) {
-	n := len(tasks)
-	deg := make([]int, n)
-	copy(deg, indeg)
-	queue := []int{}
-	for i, d := range deg {
-		if d == 0 {
-			queue = append(queue, i)
+// sortReady orders ready tasks by decreasing urgency, ties to the lower
+// index. Insertion sort: the list is short and mostly sorted already.
+func (s *Scheduler) sortReady(ready []int) {
+	for i := 1; i < len(ready); i++ {
+		id := ready[i]
+		j := i
+		for ; j > 0 && s.before(id, ready[j-1]); j-- {
+			ready[j] = ready[j-1]
 		}
+		ready[j] = id
 	}
-	var order []int
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, s := range succs[id] {
-			deg[s]--
-			if deg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("urgency: task graph has a cycle")
-	}
-	return order, nil
 }
 
-// CriticalPath returns the unconstrained critical-path length of the task
-// graph: a lower bound on any schedule's makespan.
-func CriticalPath(tasks []Task) (int, error) {
-	n := len(tasks)
-	succs := make([][]int, n)
-	indeg := make([]int, n)
-	for i, t := range tasks {
-		for _, d := range t.Deps {
-			if d < 0 || d >= n {
-				return 0, fmt.Errorf("urgency: dependency out of range")
-			}
-			succs[d] = append(succs[d], i)
-			indeg[i]++
-		}
+func (s *Scheduler) before(a, b int) bool {
+	if s.urg[a] != s.urg[b] {
+		return s.urg[a] > s.urg[b]
 	}
-	order, err := topo(tasks, succs, indeg)
-	if err != nil {
-		return 0, err
-	}
-	finish := make([]int, n)
-	cp := 0
-	for _, id := range order {
-		s := 0
-		for _, d := range tasks[id].Deps {
-			if finish[d] > s {
-				s = finish[d]
-			}
-		}
-		finish[id] = s + tasks[id].Dur
-		if finish[id] > cp {
-			cp = finish[id]
-		}
-	}
-	return cp, nil
+	return a < b
 }

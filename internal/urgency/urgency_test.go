@@ -6,7 +6,7 @@ import (
 )
 
 func TestEmpty(t *testing.T) {
-	r, err := Schedule(nil, nil)
+	r, err := schedule(nil, nil)
 	if err != nil || r.Makespan != 0 {
 		t.Fatalf("empty schedule: %+v err=%v", r, err)
 	}
@@ -18,7 +18,7 @@ func TestChainMakespan(t *testing.T) {
 		{Name: "b", Dur: 3, Deps: []int{0}},
 		{Name: "c", Dur: 2, Deps: []int{1}},
 	}
-	r, err := Schedule(tasks, nil)
+	r, err := schedule(tasks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestPinContentionSerializes(t *testing.T) {
 		{Name: "t1", Dur: 4, Pins: map[int]int{0: 20}},
 		{Name: "t2", Dur: 4, Pins: map[int]int{0: 20}},
 	}
-	r, err := Schedule(tasks, map[int]int{0: 30})
+	r, err := schedule(tasks, map[int]int{0: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestPinContentionSerializes(t *testing.T) {
 		t.Fatalf("Makespan = %d, want 8 (serialized)", r.Makespan)
 	}
 	// With 40 pins they run in parallel.
-	r2, err := Schedule(tasks, map[int]int{0: 40})
+	r2, err := schedule(tasks, map[int]int{0: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestMultiChipPins(t *testing.T) {
 		{Name: "ab", Dur: 3, Pins: map[int]int{0: 10, 1: 10}},
 		{Name: "b", Dur: 3, Pins: map[int]int{1: 10}},
 	}
-	r, err := Schedule(tasks, map[int]int{0: 10, 1: 15})
+	r, err := schedule(tasks, map[int]int{0: 10, 1: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestUrgencyPrefersCriticalPath(t *testing.T) {
 		{Name: "long2", Dur: 10, Deps: []int{0}},
 		{Name: "short", Dur: 2, Pins: map[int]int{0: 1}},
 	}
-	r, err := Schedule(tasks, map[int]int{0: 1})
+	r, err := schedule(tasks, map[int]int{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestUrgencyPrefersCriticalPath(t *testing.T) {
 
 func TestStructuralInfeasibility(t *testing.T) {
 	tasks := []Task{{Name: "t", Dur: 1, Pins: map[int]int{0: 100}}}
-	if _, err := Schedule(tasks, map[int]int{0: 64}); err == nil {
+	if _, err := schedule(tasks, map[int]int{0: 64}); err == nil {
 		t.Fatal("over-demand accepted")
 	}
 }
@@ -100,19 +100,19 @@ func TestCycleDetected(t *testing.T) {
 		{Name: "a", Dur: 1, Deps: []int{1}},
 		{Name: "b", Dur: 1, Deps: []int{0}},
 	}
-	if _, err := Schedule(tasks, nil); err == nil {
+	if _, err := schedule(tasks, nil); err == nil {
 		t.Fatal("cyclic task graph accepted")
 	}
 }
 
 func TestBadDeps(t *testing.T) {
-	if _, err := Schedule([]Task{{Name: "a", Deps: []int{5}}}, nil); err == nil {
+	if _, err := schedule([]Task{{Name: "a", Deps: []int{5}}}, nil); err == nil {
 		t.Fatal("out-of-range dep accepted")
 	}
-	if _, err := Schedule([]Task{{Name: "a", Deps: []int{0}}}, nil); err == nil {
+	if _, err := schedule([]Task{{Name: "a", Deps: []int{0}}}, nil); err == nil {
 		t.Fatal("self dep accepted")
 	}
-	if _, err := Schedule([]Task{{Name: "a", Dur: -1}}, nil); err == nil {
+	if _, err := schedule([]Task{{Name: "a", Dur: -1}}, nil); err == nil {
 		t.Fatal("negative duration accepted")
 	}
 }
@@ -123,7 +123,7 @@ func TestZeroDurationCascade(t *testing.T) {
 		{Name: "b", Dur: 0, Deps: []int{0}},
 		{Name: "c", Dur: 5, Deps: []int{1}},
 	}
-	r, err := Schedule(tasks, nil)
+	r, err := schedule(tasks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCriticalPath(t *testing.T) {
 		{Name: "b", Dur: 3, Deps: []int{0}},
 		{Name: "c", Dur: 9},
 	}
-	cp, err := CriticalPath(tasks)
+	cp, err := criticalPath(tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func TestPropMakespanAtLeastCriticalPath(t *testing.T) {
 				tasks[i].Deps = []int{i - 2}
 			}
 		}
-		r, err := Schedule(tasks, map[int]int{0: 10})
+		r, err := schedule(tasks, map[int]int{0: 10})
 		if err != nil {
 			return false
 		}
-		cp, _ := CriticalPath(tasks)
+		cp, _ := criticalPath(tasks)
 		if r.Makespan < cp {
 			return false
 		}
@@ -194,7 +194,7 @@ func TestPropPinCapacityNeverExceeded(t *testing.T) {
 			}
 		}
 		capacity := map[int]int{0: 10}
-		r, err := Schedule(tasks, capacity)
+		r, err := schedule(tasks, capacity)
 		if err != nil {
 			return false
 		}

@@ -53,12 +53,15 @@ gobench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # fuzz smoke-tests the predictor-cache content key (determinism,
-# rename-insensitivity, mutation-sensitivity, no panics) and the compiled
-# urgency scheduler against its cycle-stepping referee, FUZZTIME each.
+# rename-insensitivity, mutation-sensitivity, no panics), the compiled
+# urgency scheduler against its cycle-stepping referee, and BAD's compiled
+# list and modulo schedulers against their map-based referees, FUZZTIME
+# each.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz=FuzzPredictCacheKey -fuzztime=$(FUZZTIME) ./internal/bad
 	$(GO) test -fuzz=FuzzScheduleMatchesReference -fuzztime=$(FUZZTIME) ./internal/urgency
+	$(GO) test -fuzz=FuzzListScheduleMatchesReference -fuzztime=$(FUZZTIME) ./internal/sched
 
 # chaos runs the fault-injected service-plane smoke: an in-process server
 # with ~10% injected job faults under random submissions and cancels,

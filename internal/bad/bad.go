@@ -22,9 +22,10 @@
 package bad
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"chop/internal/alloc"
 	"chop/internal/ctrl"
@@ -214,16 +215,6 @@ func (d Design) LatencyNS(c Clocks) stats.Triplet {
 	return d.AdjustedClockNS(c).Scale(float64(d.LatencyMainCycles(c)))
 }
 
-// key identifies a design point for deduplication.
-func (d Design) key() string {
-	ops := make([]string, 0, len(d.FUs))
-	for op, n := range d.FUs {
-		ops = append(ops, fmt.Sprintf("%s=%d", op, n))
-	}
-	sort.Strings(ops)
-	return fmt.Sprintf("%s|%s|%d|%d|%v", d.Style, d.ModuleSet.ID(), d.II, d.Latency, ops)
-}
-
 // Result is the outcome of one Predict call.
 type Result struct {
 	// Designs are the retained predictions, sorted by increasing II then
@@ -271,10 +262,7 @@ func Predict(g *dfg.Graph, cfg Config) (Result, error) {
 	}
 	ptok := cfg.Phases.Begin()
 	defer cfg.Phases.End(ptok, obs.PhasePredict)
-	var ops []dfg.Op
-	for op := range g.OpCounts() {
-		ops = append(ops, op)
-	}
+	ops := g.FUOps()
 	if len(ops) == 0 {
 		return Result{}, fmt.Errorf("bad: partition %q has no operations", g.Name)
 	}
@@ -293,11 +281,15 @@ func Predict(g *dfg.Graph, cfg Config) (Result, error) {
 	}
 	defer cfg.Metrics.Timer("bad.predict_us")()
 
+	// A cyclic graph fails at its first usable module set, as scheduling
+	// it would.
+	sg, gerr := sched.Compile(g)
+	var w *sweep
+	if gerr == nil {
+		w = newSweep(g, sg, cfg)
+	}
 	dpNS := cfg.Clocks.DatapathNS()
-	res := Result{}
-	seen := make(map[string]bool)
 	for _, set := range sets {
-		setStart := res.Total
 		cycles, usable := opCycles(set, cfg.Style, dpNS)
 		if !usable {
 			if sp != nil {
@@ -305,18 +297,15 @@ func Predict(g *dfg.Graph, cfg Config) (Result, error) {
 			}
 			continue // single-cycle style with a module slower than the cycle
 		}
-		prob := sched.Problem{
-			G:      g,
-			Cycles: func(n dfg.Node) int { return cycles[n.Op] },
-		}
-		minLat, err := sched.CriticalCycles(prob)
-		if err != nil {
+		if gerr != nil {
 			if ownSpan {
-				sp.End(obs.F("error", err.Error()))
+				sp.End(obs.F("error", gerr.Error()))
 			}
-			return Result{}, err
+			return Result{}, gerr
 		}
-		serial := serialLatency(g, cycles)
+		setStart := w.res.Total
+		w.moduleSet(set, cycles)
+		minLat, serial := w.tm.Critical, w.tm.Serial
 		maxII := cfg.MaxII
 		if maxII == 0 {
 			if cfg.Perf.Bound > 0 {
@@ -335,45 +324,35 @@ func Predict(g *dfg.Graph, cfg Config) (Result, error) {
 		// totals likewise count re-encountered designs (Fig. 7: 13411
 		// encountered, 699 unique).
 		if !cfg.Style.NoNonPipelined {
-			hi := serial
-			if hi > maxII {
-				hi = maxII
-			}
+			hi := min(serial, maxII)
 			for L := minLat; L <= hi; L++ {
-				var ds []Design
 				if cfg.ForceDirected {
-					ds = tryForceDirected(g, set, cycles, L, cfg)
+					w.forceDirected(L)
 				} else {
-					ds = tryNonPipelined(g, set, cycles, L, cfg)
-				}
-				for _, d := range ds {
-					res.Total++
-					admit(&res, seen, d, cfg)
+					w.nonPipelined(L)
 				}
 			}
 		}
 		// Pipelined sweep: every candidate initiation interval.
 		if !cfg.Style.NoPipelined {
-			minII := maxOpCycles(g, cycles)
-			for ii := minII; ii <= maxII; ii++ {
+			for ii := w.tm.MaxDur; ii <= maxII; ii++ {
 				if ii >= minLat {
 					break // no pipelining benefit past the latency floor
 				}
-				d, ok := tryPipelined(g, set, cycles, ii, cfg)
-				if !ok {
-					continue
-				}
-				res.Total++
-				admit(&res, seen, d, cfg)
+				w.pipelined(ii)
 			}
 		}
 		if sp != nil {
 			sp.Point("moduleset", obs.F("id", set.ID()),
-				obs.F("designs", res.Total-setStart))
+				obs.F("designs", w.res.Total-setStart))
 		}
 	}
-	if !cfg.KeepAll {
-		res.Designs = paretoFilter(res.Designs)
+	var res Result
+	switch {
+	case w != nil:
+		res = w.result()
+	case !cfg.KeepAll:
+		res.Designs = []Design{} // the empty Pareto front
 	}
 	sortDesigns(res.Designs)
 	res.Feasible = 0
@@ -393,25 +372,6 @@ func Predict(g *dfg.Graph, cfg Config) (Result, error) {
 	}
 	cfg.Cache.Put(cacheKey, res)
 	return res, nil
-}
-
-func admit(res *Result, seen map[string]bool, d Design, cfg Config) {
-	k := d.key()
-	if seen[k] {
-		return
-	}
-	seen[k] = true
-	res.Unique++
-	if !cfg.KeepAll {
-		// Level-1 prune: discard immediately if clearly infeasible.
-		if !Feasible(d, cfg) {
-			if cfg.Metrics != nil {
-				cfg.Metrics.Inc("bad.pruned_level1")
-			}
-			return
-		}
-	}
-	res.Designs = append(res.Designs, d)
 }
 
 // Feasible applies the level-1 feasibility tests to a single design.
@@ -450,132 +410,266 @@ func opCycles(set lib.ModuleSet, style Style, dpNS float64) (map[dfg.Op]int, boo
 	return cycles, true
 }
 
-func serialLatency(g *dfg.Graph, cycles map[dfg.Op]int) int {
-	total := 0
-	for op, n := range g.OpCounts() {
-		total += n * cycles[op]
-	}
-	if total < 1 {
-		total = 1
-	}
-	return total
+// sweep is one Predict call's walk over the design space, compiled in
+// three layers: per graph (the scheduling graph, the allocation facts and
+// the memory traffic), per module set (node durations and everything the
+// schedulers derive from them), and per design point (one schedule on
+// reused scratch). A point is deduplicated on its allocation vector before
+// anything else is computed, so only unique points pay for a prediction,
+// and only points that survive level-1 pruning get their maps.
+type sweep struct {
+	cfg  Config
+	sg   *sched.Graph
+	est  *alloc.Estimator
+	sc   *sched.Scratch
+	mems []memTraffic
+
+	// The current module set: its modules and op cycles per op, and its
+	// timing.
+	set   lib.ModuleSet
+	mods  []lib.Module
+	opCyc []int
+	tm    *sched.Timing
+
+	// fus is the allocation of the point being built, per op.
+	fus []int
+	// seen holds the dedup keys (style, II, latency, fus) of the current
+	// module set's points. Module names are unique within a library, so
+	// points of different sets never coincide.
+	seen map[string]struct{}
+	key  []byte
+	// res counts the points. kept holds the unique points level-1 pruning
+	// keeps so far, in arrival order: under KeepAll all of them, otherwise
+	// the Pareto front of the feasible ones. Their allocations lie in
+	// keptFUs.
+	res     Result
+	kept    []candidate
+	keptFUs []int
 }
 
-func maxOpCycles(g *dfg.Graph, cycles map[dfg.Op]int) int {
-	m := 1
-	for op := range g.OpCounts() {
-		if cycles[op] > m {
-			m = cycles[op]
+// candidate is a kept design point whose FUs and MemBits maps are not
+// built yet: its allocation is keptFUs[fus : fus+len(ops)].
+type candidate struct {
+	d   Design
+	fus int
+}
+
+// memTraffic is the bits one memory block moves per iteration.
+type memTraffic struct {
+	mem  string
+	bits int
+}
+
+func newSweep(g *dfg.Graph, sg *sched.Graph, cfg Config) *sweep {
+	w := &sweep{
+		cfg:   cfg,
+		sg:    sg,
+		est:   alloc.Compile(g),
+		sc:    sched.NewScratch(sg),
+		mods:  make([]lib.Module, len(sg.Ops)),
+		opCyc: make([]int, len(sg.Ops)),
+		fus:   make([]int, len(sg.Ops)),
+		tm:    sg.Time(make([]int, sg.Len())),
+		seen:  make(map[string]struct{}),
+	}
+	for _, n := range g.Nodes {
+		if !n.Op.IsMemory() {
+			continue
+		}
+		i := slices.IndexFunc(w.mems, func(m memTraffic) bool { return m.mem == n.Mem })
+		if i < 0 {
+			i = len(w.mems)
+			w.mems = append(w.mems, memTraffic{mem: n.Mem})
+		}
+		w.mems[i].bits += n.Width
+	}
+	return w
+}
+
+// moduleSet switches the sweep to a module set with the given op cycles.
+func (w *sweep) moduleSet(set lib.ModuleSet, cycles map[dfg.Op]int) {
+	w.set = set
+	for op, o := range w.sg.Ops {
+		w.mods[op] = set[o]
+		w.opCyc[op] = cycles[o]
+	}
+	dur := w.tm.Dur
+	for id, op := range w.sg.OpOf {
+		if op >= 0 {
+			dur[id] = w.opCyc[op]
 		}
 	}
-	return m
+	w.tm.Retime(dur)
+	clear(w.seen)
 }
 
-func tryNonPipelined(g *dfg.Graph, set lib.ModuleSet, cycles map[dfg.Op]int, target int, cfg Config) []Design {
-	prob := sched.Problem{G: g, Cycles: func(n dfg.Node) int { return cycles[n.Op] }}
-	fus := sched.MinFUs(prob, target)
-	var out []Design
+// nonPipelined sweeps one target latency with list scheduling: start from
+// the minimum allocation and add a unit to the bottleneck op until the
+// schedule meets the target or the repair budget runs out, recording
+// every schedule on the way.
+func (w *sweep) nonPipelined(target int) {
+	w.fus = w.tm.MinFUs(target, w.fus)
 	for attempt := 0; ; attempt++ {
-		prob.Limit = fus
-		r, err := sched.ListSchedule(prob)
+		lat, err := w.tm.List(w.fus, w.sc)
 		if err != nil {
-			return out
+			return
 		}
-		out = append(out, finish(g, set, cycles, fus, r, r.Latency, NonPipelined, cfg))
-		if r.Latency <= target || attempt >= cfg.MaxRepair {
-			return out
+		w.record(NonPipelined, lat, lat, w.sc.Start)
+		if lat <= target || attempt >= w.cfg.MaxRepair {
+			return
 		}
-		fus = bumpBottleneck(g, cycles, fus)
+		w.bumpBottleneck()
 	}
 }
 
-// tryForceDirected builds the non-pipelined design for a target latency
+// forceDirected builds the non-pipelined design for a target latency
 // with force-directed scheduling: the schedule determines the allocation
 // (peak concurrency) rather than the other way around.
-func tryForceDirected(g *dfg.Graph, set lib.ModuleSet, cycles map[dfg.Op]int, target int, cfg Config) []Design {
-	prob := sched.Problem{G: g, Cycles: func(n dfg.Node) int { return cycles[n.Op] }}
+func (w *sweep) forceDirected(target int) {
+	prob := sched.Problem{G: w.sg.G, Cycles: func(n dfg.Node) int { return w.tm.Dur[n.ID] }}
 	r, fus, ok, err := sched.ForceDirected(prob, target)
 	if err != nil || !ok {
-		return nil
+		return
 	}
-	return []Design{finish(g, set, cycles, fus, r, r.Latency, NonPipelined, cfg)}
+	for op, o := range w.sg.Ops {
+		w.fus[op] = fus[o]
+	}
+	w.record(NonPipelined, r.Latency, r.Latency, r.Start)
 }
 
-func tryPipelined(g *dfg.Graph, set lib.ModuleSet, cycles map[dfg.Op]int, ii int, cfg Config) (Design, bool) {
-	prob := sched.Problem{G: g, Cycles: func(n dfg.Node) int { return cycles[n.Op] }}
-	fus := sched.MinFUs(prob, ii)
+// pipelined sweeps one initiation interval with modulo scheduling,
+// repairing the allocation like nonPipelined; only a schedule that
+// sustains the interval is a design point.
+func (w *sweep) pipelined(ii int) {
+	w.fus = w.tm.MinFUs(ii, w.fus)
 	for attempt := 0; ; attempt++ {
-		prob.Limit = fus
-		r, ok, err := sched.PipelinedSchedule(prob, ii)
-		if err != nil {
-			return Design{}, false
+		if lat, ok := w.tm.Modulo(w.fus, ii, w.sc); ok {
+			w.record(Pipelined, ii, lat, w.sc.Start)
+			return
 		}
-		if ok {
-			return finish(g, set, cycles, fus, r, ii, Pipelined, cfg), true
+		if attempt >= w.cfg.MaxRepair {
+			return
 		}
-		if attempt >= cfg.MaxRepair {
-			return Design{}, false
-		}
-		fus = bumpBottleneck(g, cycles, fus)
+		w.bumpBottleneck()
 	}
 }
 
 // bumpBottleneck adds one FU to the most contended operation type.
-func bumpBottleneck(g *dfg.Graph, cycles map[dfg.Op]int, fus map[dfg.Op]int) map[dfg.Op]int {
-	out := make(map[dfg.Op]int, len(fus))
-	for op, n := range fus {
-		out[op] = n
-	}
-	counts := g.OpCounts()
-	ops := make([]dfg.Op, 0, len(counts))
-	for op := range counts {
-		ops = append(ops, op)
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
-	worstOp := dfg.Op("")
-	worst := -1.0
-	for _, op := range ops {
-		cnt := counts[op]
-		n := out[op]
-		if n == 0 {
-			n = 1
-			out[op] = 1
-		}
+func (w *sweep) bumpBottleneck() {
+	worstOp, worst := -1, -1.0
+	for op, cnt := range w.sg.Count {
+		n := w.fus[op]
 		if n >= cnt {
 			continue // already fully parallel
 		}
-		pressure := float64(cnt*cycles[op]) / float64(n)
-		if pressure > worst {
-			worst = pressure
-			worstOp = op
+		if pressure := float64(cnt*w.opCyc[op]) / float64(n); pressure > worst {
+			worst, worstOp = pressure, op
 		}
 	}
-	if worstOp != "" {
-		out[worstOp]++
+	if worstOp >= 0 {
+		w.fus[worstOp]++
 	}
-	return out
 }
 
-// finish assembles the full Design record from a schedule.
-func finish(g *dfg.Graph, set lib.ModuleSet, cycles map[dfg.Op]int, fus map[dfg.Op]int,
-	r sched.Result, ii int, style DesignStyle, cfg Config) Design {
+// record counts one design point with the current allocation and, when it
+// is new, builds its Design and applies the level-1 prune.
+func (w *sweep) record(style DesignStyle, ii, latency int, start []int) {
+	w.res.Total++
+	k := append(w.key[:0], byte(style))
+	k = binary.AppendUvarint(k, uint64(ii))
+	k = binary.AppendUvarint(k, uint64(latency))
+	for _, n := range w.fus {
+		k = binary.AppendUvarint(k, uint64(n))
+	}
+	w.key = k
+	if _, dup := w.seen[string(k)]; dup {
+		return
+	}
+	w.seen[string(k)] = struct{}{}
+	w.res.Unique++
+	d := w.finish(style, ii, latency, start)
+	if !w.cfg.KeepAll {
+		// Level-1 prune: discard immediately if clearly infeasible.
+		if !Feasible(d, w.cfg) {
+			w.cfg.Metrics.Inc("bad.pruned_level1")
+			return
+		}
+		if !w.joinFront(&d) {
+			return
+		}
+	}
+	w.kept = append(w.kept, candidate{d: d, fus: len(w.keptFUs)})
+	w.keptFUs = append(w.keptFUs, w.fus...)
+}
 
-	prob := sched.Problem{G: g, Cycles: func(n dfg.Node) int { return cycles[n.Op] }, Limit: fus}
-	al := alloc.Estimate(prob, r, fus, ii)
+// joinFront keeps kept the Pareto front of the feasible points: it
+// reports false when d is inferior to a kept point, and otherwise drops
+// the kept points d makes inferior. Every point seen is on the front or
+// inferior to a point on it, and inferiority is transitive, so the final
+// front is exactly the set of points no feasible point is superior to,
+// in arrival order.
+func (w *sweep) joinFront(d *Design) bool {
+	for i := range w.kept {
+		if superior(&w.kept[i].d, d) {
+			return false
+		}
+	}
+	w.kept = slices.DeleteFunc(w.kept, func(c candidate) bool { return superior(d, &c.d) })
+	return true
+}
 
+// superior reports whether e makes d inferior: e is no worse on
+// initiation interval, latency and most-likely area, and strictly better
+// on at least one.
+func superior(e, d *Design) bool {
+	return e.II <= d.II && e.Latency <= d.Latency && e.Area.ML <= d.Area.ML &&
+		(e.II < d.II || e.Latency < d.Latency || e.Area.ML < d.Area.ML)
+}
+
+// result completes the kept points into Designs with their FUs and
+// MemBits maps.
+func (w *sweep) result() Result {
+	res := w.res
+	if w.kept == nil && w.cfg.KeepAll {
+		return res
+	}
+	res.Designs = make([]Design, len(w.kept))
+	for i, c := range w.kept {
+		d := c.d
+		d.FUs = make(map[dfg.Op]int, len(w.sg.Ops))
+		for op, n := range w.keptFUs[c.fus : c.fus+len(w.sg.Ops)] {
+			if n > 0 {
+				d.FUs[w.sg.Ops[op]] = n
+			}
+		}
+		if len(w.mems) > 0 {
+			d.MemBits = make(map[string]int, len(w.mems))
+			for _, m := range w.mems {
+				d.MemBits[m.mem] = m.bits
+			}
+		}
+		res.Designs[i] = d
+	}
+	return res
+}
+
+// finish predicts the current point from its schedule: every Design
+// field but the FUs and MemBits maps. Sums over ops run in op order, so
+// results do not depend on map iteration.
+func (w *sweep) finish(style DesignStyle, ii, latency int, start []int) Design {
+	cfg := w.cfg
 	l := cfg.Lib
+	al := w.est.Estimate(start, w.tm.Dur, w.fus, ii)
+
 	var fuArea, fuPower float64
 	maxShare := 1
-	for op, n := range fus {
-		m, ok := set[op]
-		if !ok {
+	for op, n := range w.fus {
+		if n == 0 {
 			continue
 		}
-		fuArea += float64(n) * m.Area
-		fuPower += float64(n) * m.Power
-		if cnt := g.OpCounts()[op]; n > 0 && (cnt+n-1)/n > maxShare {
-			maxShare = (cnt + n - 1) / n
-		}
+		fuArea += float64(n) * w.mods[op].Area
+		fuPower += float64(n) * w.mods[op].Power
+		maxShare = max(maxShare, (w.sg.Count[op]+n-1)/n)
 	}
 	regArea := float64(al.RegisterBits) * l.Register.Area
 	muxArea := float64(al.Mux1Bit) * l.Mux.Area
@@ -585,22 +679,17 @@ func finish(g *dfg.Graph, set lib.ModuleSet, cycles map[dfg.Op]int, fus map[dfg.
 	}
 	routing := wire.RoutingArea(cellArea, al.Nets)
 
-	states := r.Latency
+	states := latency
 	if style == Pipelined && ii < states {
-		states = ii * sched.Stages(r.Latency, ii) // controller tracks all stages
+		states = ii * sched.Stages(latency, ii) // controller tracks all stages
 	}
-	if states < 1 {
-		states = 1
-	}
+	states = max(states, 1)
 	pla := ctrl.ForFSM(states, 0, al.Nets)
 	plaArea := pla.Area()
 	area := stats.Sum(stats.Exact(cellArea), routing, plaArea)
 
 	// Clock overhead: register setup + mux tree + wiring + controller.
-	muxLevels := int(math.Ceil(math.Log2(float64(maxShare))))
-	if muxLevels < 1 {
-		muxLevels = 1
-	}
+	muxLevels := max(int(math.Ceil(math.Log2(float64(maxShare)))), 1)
 	overhead := stats.Sum(
 		stats.Exact(l.Register.Delay),
 		stats.Exact(float64(muxLevels)*l.Mux.Delay),
@@ -612,63 +701,37 @@ func finish(g *dfg.Graph, set lib.ModuleSet, cycles map[dfg.Op]int, fus map[dfg.
 	}
 
 	power := fuPower + float64(al.RegisterBits)*l.Register.Power + float64(al.Mux1Bit)*l.Mux.Power
-	memBits := make(map[string]int)
-	for _, n := range g.Nodes {
-		if n.Op.IsMemory() {
-			memBits[n.Mem] += n.Width
-		}
-	}
-	if len(memBits) == 0 {
-		memBits = nil
-	}
 	return Design{
 		Style:         style,
-		ModuleSet:     set,
-		FUs:           fus,
+		ModuleSet:     w.set,
 		II:            ii,
-		Latency:       r.Latency,
-		Stages:        sched.Stages(r.Latency, ii),
+		Latency:       latency,
+		Stages:        sched.Stages(latency, ii),
 		RegBits:       al.RegisterBits,
 		Mux1Bit:       al.Mux1Bit,
 		Area:          area,
 		ClockOverhead: overhead,
 		Power:         stats.Spread(power, 0.10, 0.20),
-		MemBits:       memBits,
 	}
-}
-
-// paretoFilter removes inferior designs: a design is inferior when another
-// design is no worse on initiation interval, latency and most-likely area,
-// and strictly better on at least one.
-func paretoFilter(ds []Design) []Design {
-	keep := make([]Design, 0, len(ds))
-	for i, d := range ds {
-		dominated := false
-		for j, e := range ds {
-			if i == j {
-				continue
-			}
-			if e.II <= d.II && e.Latency <= d.Latency && e.Area.ML <= d.Area.ML &&
-				(e.II < d.II || e.Latency < d.Latency || e.Area.ML < d.Area.ML) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			keep = append(keep, d)
-		}
-	}
-	return keep
 }
 
 func sortDesigns(ds []Design) {
-	sort.SliceStable(ds, func(i, j int) bool {
-		if ds[i].II != ds[j].II {
-			return ds[i].II < ds[j].II
+	less := func(a, b *Design) bool {
+		if a.II != b.II {
+			return a.II < b.II
 		}
-		if ds[i].Latency != ds[j].Latency {
-			return ds[i].Latency < ds[j].Latency
+		if a.Latency != b.Latency {
+			return a.Latency < b.Latency
 		}
-		return ds[i].Area.ML < ds[j].Area.ML
+		return a.Area.ML < b.Area.ML
+	}
+	slices.SortStableFunc(ds, func(a, b Design) int {
+		switch {
+		case less(&a, &b):
+			return -1
+		case less(&b, &a):
+			return 1
+		}
+		return 0
 	})
 }

@@ -225,7 +225,7 @@ func TestPredictClockNearPaperValues(t *testing.T) {
 	for _, d := range res.Designs {
 		clk := d.AdjustedClockNS(exp1Clocks()).ML
 		if clk < 305 || clk > 410 {
-			t.Fatalf("adjusted clock %v ns out of band for %v", clk, d.key())
+			t.Fatalf("adjusted clock %v ns out of band for %s II %d latency %d", clk, d.ModuleSet.ID(), d.II, d.Latency)
 		}
 	}
 }
@@ -408,5 +408,27 @@ func TestForceDirectedFindsComparableDesigns(t *testing.T) {
 	cb, cf := cheapest(rb), cheapest(rf)
 	if cf > cb*1.6 || cb > cf*1.6 {
 		t.Fatalf("schedulers diverge: list %v vs fds %v", cb, cf)
+	}
+}
+
+// TestPredictAllocs is the allocation gate of the compiled predictor: the
+// experiment-2 AR-filter prediction allocates at most 2 objects per
+// generated design point. Duplicates allocate nothing; a unique point
+// pays for its dedup key and its FUs map, and the per-graph and
+// per-module-set compilation is spread over all points.
+func TestPredictAllocs(t *testing.T) {
+	g := dfg.ARLatticeFilter(16)
+	cfg := exp2Config()
+	var res Result
+	var err error
+	allocs := testing.AllocsPerRun(5, func() {
+		if res, err = Predict(g, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perDesign := allocs / float64(res.Total)
+	t.Logf("%.0f allocs per prediction, %d designs: %.2f allocs per design", allocs, res.Total, perDesign)
+	if perDesign > 2 {
+		t.Fatalf("%.2f allocs per design, want <= 2", perDesign)
 	}
 }

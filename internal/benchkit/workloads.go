@@ -39,9 +39,9 @@ type Workload struct {
 // synthetic stress case. Order is stable so BENCH reports diff cleanly.
 func Workloads() []Workload {
 	ws := []Workload{
-		{Name: "exp1/counts", Run: expCounts(1)},
+		{Name: "exp1/counts", Run: expCounts(1), ProfiledRun: expCountsProfiled(1)},
 		{Name: "exp1/results", Run: expResults(1)},
-		{Name: "exp2/counts", Run: expCounts(2)},
+		{Name: "exp2/counts", Run: expCounts(2), ProfiledRun: expCountsProfiled(2)},
 		{Name: "exp2/results", Run: expResults(2)},
 	}
 	for _, gw := range []struct {
@@ -238,12 +238,21 @@ func advisorCachedRun() func(*obs.Metrics) error {
 
 // expCounts regenerates the paper's Table 3/5 prediction statistics.
 func expCounts(n int) func(*obs.Metrics) error {
-	return func(m *obs.Metrics) error {
-		e := experiments.New(n)
-		e.Cfg.Metrics = m
-		_, err := e.PredictionCounts()
-		return err
-	}
+	return func(m *obs.Metrics) error { return runCounts(n, m, nil) }
+}
+
+// expCountsProfiled is expCounts with phase attribution: the predictions
+// (serial, one partition after another) book into the predict phase.
+func expCountsProfiled(n int) func(*obs.PhaseAccounter) error {
+	return func(pa *obs.PhaseAccounter) error { return runCounts(n, nil, pa) }
+}
+
+func runCounts(n int, m *obs.Metrics, pa *obs.PhaseAccounter) error {
+	e := experiments.New(n)
+	e.Cfg.Metrics = m
+	e.Cfg.Phases = pa
+	_, err := e.PredictionCounts()
+	return err
 }
 
 // expResults regenerates the paper's Table 4/6 partitioning results (both

@@ -10,6 +10,7 @@ package dfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -136,8 +137,26 @@ func (g *Graph) build() {
 	if !g.dirt {
 		return
 	}
-	g.succ = make([][]int, len(g.Nodes))
-	g.pred = make([][]int, len(g.Nodes))
+	// Each node's lists are capacity-limited windows of one backing
+	// array per direction, filled in edge order.
+	n := len(g.Nodes)
+	g.succ = make([][]int, n)
+	g.pred = make([][]int, n)
+	nout := make([]int, n)
+	nin := make([]int, n)
+	for _, e := range g.Edges {
+		nout[e.From]++
+		nin[e.To]++
+	}
+	succ := make([]int, len(g.Edges))
+	pred := make([]int, len(g.Edges))
+	so, po := 0, 0
+	for id := range g.Nodes {
+		g.succ[id] = succ[so : so : so+nout[id]]
+		g.pred[id] = pred[po : po : po+nin[id]]
+		so += nout[id]
+		po += nin[id]
+	}
 	for _, e := range g.Edges {
 		g.succ[e.From] = append(g.succ[e.From], e.To)
 		g.pred[e.To] = append(g.pred[e.To], e.From)
@@ -243,6 +262,20 @@ func (g *Graph) OpCounts() map[Op]int {
 	return m
 }
 
+// FUOps returns the distinct FU-consuming ops of the graph in sorted
+// order: the dense op indexing the compiled scheduler and allocation
+// estimate share.
+func (g *Graph) FUOps() []Op {
+	var ops []Op
+	for _, n := range g.Nodes {
+		if n.Op.NeedsFU() && !slices.Contains(ops, n.Op) {
+			ops = append(ops, n.Op)
+		}
+	}
+	slices.Sort(ops)
+	return ops
+}
+
 // Inputs returns the IDs of all primary-input nodes in ID order.
 func (g *Graph) Inputs() []int { return g.nodesWithOp(OpInput) }
 
@@ -313,29 +346,46 @@ func (g *Graph) CriticalPath(delay func(Node) float64) (float64, error) {
 // Edges with exactly one endpoint inside the set are dropped (they become
 // inter-partition transfers handled by package xfer).
 func (g *Graph) Subgraph(name string, ids []int) (*Graph, map[int]int) {
-	inSet := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		inSet[id] = true
+	sub, local := g.subgraph(name, ids, 0)
+	return sub, remapOf(ids, local)
+}
+
+// subgraph is Subgraph with the renumbering as a slice over g's nodes: the
+// subgraph ID of each node in the set, -1 for the others. The subgraph has
+// room for extra more nodes.
+func (g *Graph) subgraph(name string, ids []int, extra int) (*Graph, []int) {
+	local := make([]int, len(g.Nodes))
+	for i := range local {
+		local[i] = -1
 	}
-	sorted := append([]int(nil), ids...)
-	sort.Ints(sorted)
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
 	sub := New(name)
-	remap := make(map[int]int, len(sorted))
+	sub.Nodes = make([]Node, 0, len(sorted)+extra)
 	for _, id := range sorted {
 		n := g.Nodes[id]
 		nid := sub.AddNode(n.Name, n.Op, n.Width)
 		sub.Nodes[nid].Mem = n.Mem
 		sub.Nodes[nid].Coef = n.Coef
 		sub.Nodes[nid].HasCoef = n.HasCoef
-		remap[id] = nid
+		local[id] = nid
 	}
 	for _, e := range g.Edges {
-		if inSet[e.From] && inSet[e.To] {
-			sub.Edges = append(sub.Edges, Edge{From: remap[e.From], To: remap[e.To], Width: e.Width})
+		if local[e.From] >= 0 && local[e.To] >= 0 {
+			sub.Edges = append(sub.Edges, Edge{From: local[e.From], To: local[e.To], Width: e.Width})
 		}
 	}
 	sub.dirt = true
-	return sub, remap
+	return sub, local
+}
+
+// remapOf returns the renumbering of ids as a map.
+func remapOf(ids, local []int) map[int]int {
+	remap := make(map[int]int, len(ids))
+	for _, id := range ids {
+		remap[id] = local[id]
+	}
+	return remap
 }
 
 // Cut describes the set of values flowing from one block of a partitioning
@@ -431,54 +481,54 @@ func (g *Graph) PartitionDAG(assign map[int]int, nPart int) [][]bool {
 // The returned map translates original node IDs to subgraph IDs (markers
 // are not in the map).
 func (g *Graph) PartitionGraph(name string, ids []int) (*Graph, map[int]int) {
-	sub, remap := g.Subgraph(name, ids)
-	inSet := make(map[int]bool, len(ids))
+	inSet := make([]bool, len(g.Nodes))
 	for _, id := range ids {
 		inSet[id] = true
 	}
-	// Incoming values: one marker per external producer.
-	inMarker := map[int]int{}
+	// Every boundary edge adds at most one marker.
+	toSet, boundary := 0, 0
 	for _, e := range g.Edges {
-		if !inSet[e.To] || inSet[e.From] {
-			continue
+		if inSet[e.To] {
+			toSet++
 		}
-		src := g.Nodes[e.From]
-		mid, ok := inMarker[e.From]
-		if !ok {
-			mid = sub.AddNode(src.Name, OpInput, src.Width)
-			inMarker[e.From] = mid
+		if inSet[e.From] != inSet[e.To] {
+			boundary++
 		}
-		sub.MustConnect(mid, remap[e.To])
 	}
-	// Rebuild subgraph edges so operand order matches the original graph:
-	// external operands were dropped by Subgraph and re-appended above,
-	// which can permute positions of non-commutative ops. Reconstruct the
-	// edge list in original-graph order.
-	var edges []Edge
+	sub, local := g.subgraph(name, ids, boundary)
+	// Incoming values: one marker per external producer; marker[id] is 1
+	// plus the subgraph ID of id's marker, 0 while it has none.
+	marker := make([]int, len(g.Nodes))
 	for _, e := range g.Edges {
-		if !inSet[e.To] {
-			continue
+		if inSet[e.To] && !inSet[e.From] && marker[e.From] == 0 {
+			src := g.Nodes[e.From]
+			marker[e.From] = sub.AddNode(src.Name, OpInput, src.Width) + 1
 		}
+	}
+	// Rebuild the edge list in original-graph order, so operand order
+	// matches the original graph even where external operands now come
+	// from markers.
+	edges := make([]Edge, 0, toSet+boundary)
+	for _, e := range g.Edges {
 		switch {
+		case !inSet[e.To]:
 		case inSet[e.From]:
-			edges = append(edges, Edge{From: remap[e.From], To: remap[e.To], Width: e.Width})
+			edges = append(edges, Edge{From: local[e.From], To: local[e.To], Width: e.Width})
 		default:
-			edges = append(edges, Edge{From: inMarker[e.From], To: remap[e.To], Width: e.Width})
+			edges = append(edges, Edge{From: marker[e.From] - 1, To: local[e.To], Width: e.Width})
 		}
 	}
-	// Keep any edges among markers' own additions that are not To-in-set
-	// (there are none by construction), then outgoing markers.
 	sub.Edges = edges
 	sub.dirt = true
 	// Outgoing values: one marker per producer with an external consumer.
-	outSeen := map[int]bool{}
+	outSeen := make([]bool, len(g.Nodes))
 	for _, e := range g.Edges {
 		if !inSet[e.From] || inSet[e.To] || outSeen[e.From] {
 			continue
 		}
 		outSeen[e.From] = true
 		o := sub.AddNode("out:"+g.Nodes[e.From].Name, OpOutput, g.Nodes[e.From].Width)
-		sub.MustConnect(remap[e.From], o)
+		sub.MustConnect(local[e.From], o)
 	}
-	return sub, remap
+	return sub, remapOf(ids, local)
 }

@@ -8,7 +8,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"chop/internal/dfg"
 )
@@ -34,6 +33,16 @@ func (p Problem) cyclesOf(id int) int {
 		c = 1
 	}
 	return c
+}
+
+// Durations returns each node's duration in cycles: 0 for nodes that
+// need no FU, Cycles clamped to at least 1 for the others.
+func (p Problem) Durations() []int {
+	dur := make([]int, len(p.G.Nodes))
+	for id := range dur {
+		dur[id] = p.cyclesOf(id)
+	}
+	return dur
 }
 
 // Result is a computed schedule.
@@ -102,28 +111,6 @@ func CriticalCycles(p Problem) (int, error) {
 	return lat, err
 }
 
-// priorities returns, per node, the length in cycles of the longest path
-// from that node to any sink (inclusive of the node itself). Higher is more
-// urgent; this is the standard list-scheduling priority.
-func priorities(p Problem) ([]int, error) {
-	order, err := p.G.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	prio := make([]int, len(p.G.Nodes))
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		max := 0
-		for _, su := range p.G.Succs(id) {
-			if prio[su] > max {
-				max = prio[su]
-			}
-		}
-		prio[id] = max + p.cyclesOf(id)
-	}
-	return prio, nil
-}
-
 // ListSchedule computes a resource-constrained non-pipelined schedule using
 // critical-path list scheduling. It never fails for positive FU limits; the
 // schedule just lengthens as resources shrink.
@@ -131,106 +118,36 @@ func ListSchedule(p Problem) (Result, error) {
 	if err := checkLimits(p); err != nil {
 		return Result{}, err
 	}
-	prio, err := priorities(p)
+	t, limit, err := p.compile()
 	if err != nil {
 		return Result{}, err
 	}
-	order, _ := p.G.TopoOrder()
-
-	start := make([]int, len(p.G.Nodes))
-	for i := range start {
-		start[i] = -1
+	s := NewScratch(t.Graph)
+	lat, err := t.List(limit, s)
+	if err != nil {
+		return Result{}, err
 	}
-	unschedPreds := make([]int, len(p.G.Nodes))
-	for id := range p.G.Nodes {
-		unschedPreds[id] = len(p.G.Preds(id))
-	}
-	// busy[op] holds the finish cycles of in-flight ops of that type, one
-	// entry per occupied FU instance.
-	type event struct{ finish int }
-	busy := make(map[dfg.Op][]event)
-
-	ready := make([]int, 0, len(p.G.Nodes))
-	for _, id := range order {
-		if unschedPreds[id] == 0 {
-			ready = append(ready, id)
-		}
-	}
-	earliest := make([]int, len(p.G.Nodes))
-	scheduled := 0
-	latency := 0
-	for cycle := 0; scheduled < len(p.G.Nodes); cycle++ {
-		// Retire finished ops.
-		for op, evs := range busy {
-			kept := evs[:0]
-			for _, e := range evs {
-				if e.finish > cycle {
-					kept = append(kept, e)
-				}
-			}
-			busy[op] = kept
-		}
-		// Repeatedly sweep the ready list within this cycle: scheduling a
-		// zero-duration node (an I/O marker) can make its successors ready
-		// in the very same cycle.
-		for progress := true; progress; {
-			progress = false
-			// Most-urgent-first among ready ops whose earliest time has come.
-			sort.Slice(ready, func(i, j int) bool {
-				if prio[ready[i]] != prio[ready[j]] {
-					return prio[ready[i]] > prio[ready[j]]
-				}
-				return ready[i] < ready[j]
-			})
-			var still []int
-			for _, id := range ready {
-				if earliest[id] > cycle {
-					still = append(still, id)
-					continue
-				}
-				op := p.G.Nodes[id].Op
-				dur := p.cyclesOf(id)
-				if dur > 0 {
-					limit, has := p.Limit[op]
-					if has && len(busy[op]) >= limit {
-						still = append(still, id)
-						continue
-					}
-					busy[op] = append(busy[op], event{finish: cycle + dur})
-				}
-				start[id] = cycle
-				if f := cycle + dur; f > latency {
-					latency = f
-				}
-				scheduled++
-				progress = true
-				for _, su := range p.G.Succs(id) {
-					if e := cycle + dur; e > earliest[su] {
-						earliest[su] = e
-					}
-					unschedPreds[su]--
-					if unschedPreds[su] == 0 {
-						still = append(still, su)
-					}
-				}
-			}
-			ready = still
-		}
-		if cycle > len(p.G.Nodes)*maxDur(p)+len(p.G.Nodes)+8 && scheduled < len(p.G.Nodes) {
-			return Result{}, fmt.Errorf("sched: list schedule did not converge (graph %q)", p.G.Name)
-		}
-	}
-	return Result{Start: start, Latency: latency}, nil
+	return Result{Start: s.Start, Latency: lat}, nil
 }
 
-func maxDur(p Problem) int {
-	m := 1
-	for id := range p.G.Nodes {
-		if d := p.cyclesOf(id); d > m {
-			m = d
-		}
+// compile compiles the problem: its graph, its per-node durations and its
+// FU limits as a dense vector (ops absent from Limit get one unit per
+// node, which never binds).
+func (p Problem) compile() (*Timing, []int, error) {
+	c, err := Compile(p.G)
+	if err != nil {
+		return nil, nil, err
 	}
-	return m
+	dur := p.Durations()
+	limit := make([]int, len(c.Ops))
+	for op, o := range c.Ops {
+		n, has := p.Limit[o]
+		if !has {
+			n = c.Len()
+		}
+		limit[op] = n
+	}
+	return c.Time(dur), limit, nil
 }
 
 func checkLimits(p Problem) error {
@@ -246,17 +163,16 @@ func checkLimits(p Problem) error {
 // could sustain the given initiation interval: for each op type,
 // ceil(total busy cycles / II).
 func MinFUs(p Problem, ii int) map[dfg.Op]int {
-	busy := make(map[dfg.Op]int)
+	need := make(map[dfg.Op]int)
 	for id, n := range p.G.Nodes {
 		if n.Op.NeedsFU() {
-			busy[n.Op] += p.cyclesOf(id)
+			need[n.Op] += p.cyclesOf(id)
 		}
 	}
-	out := make(map[dfg.Op]int, len(busy))
-	for op, b := range busy {
-		out[op] = (b + ii - 1) / ii
+	for op, busy := range need {
+		need[op] = (busy + ii - 1) / ii
 	}
-	return out
+	return need
 }
 
 // PipelinedSchedule computes a modulo schedule with the given initiation
@@ -270,91 +186,16 @@ func PipelinedSchedule(p Problem, ii int) (Result, bool, error) {
 	if err := checkLimits(p); err != nil {
 		return Result{}, false, err
 	}
-	// Quick resource lower-bound rejection.
-	need := MinFUs(p, ii)
-	for op, n := range need {
-		if limit, has := p.Limit[op]; has && n > limit {
-			return Result{}, false, nil
-		}
-	}
-	order, err := p.G.TopoOrder()
+	t, limit, err := p.compile()
 	if err != nil {
 		return Result{}, false, err
 	}
-	// Schedule in topological order, each op at the earliest start where a
-	// concrete FU instance has the op's whole circular interval free.
-	// Tracking instances (not just per-slot counts) matters: circular-arc
-	// packing can need more machines than the peak slot count, so per-slot
-	// feasibility alone would admit schedules no binding can realize.
-	wheels := make(map[dfg.Op][][]bool) // op -> instance -> slot busy
-	start := make([]int, len(p.G.Nodes))
-	instance := make([]int, len(p.G.Nodes))
-	for i := range instance {
-		instance[i] = -1
+	s := NewScratch(t.Graph)
+	lat, ok := t.Modulo(limit, ii, s)
+	if !ok {
+		return Result{}, false, nil
 	}
-	latency := 0
-	horizon := ii * (len(p.G.Nodes) + 2)
-	for _, id := range order {
-		n := p.G.Nodes[id]
-		dur := p.cyclesOf(id)
-		s := 0
-		for _, pr := range p.G.Preds(id) {
-			if f := start[pr] + p.cyclesOf(pr); f > s {
-				s = f
-			}
-		}
-		if dur == 0 {
-			start[id] = s
-			continue
-		}
-		if dur > ii {
-			// An operation longer than the interval permanently occupies
-			// more than one instance-wheel; with one new sample per ii
-			// cycles such an op can never be rebound, so reject.
-			return Result{}, false, nil
-		}
-		limit, has := p.Limit[n.Op]
-		if !has {
-			limit = len(p.G.Nodes)
-		}
-		ws := wheels[n.Op]
-		if ws == nil {
-			ws = make([][]bool, 0, limit)
-			wheels[n.Op] = ws
-		}
-		placed := false
-		for ; s <= horizon && !placed; s++ {
-			for wi := 0; wi < limit; wi++ {
-				if wi == len(ws) {
-					ws = append(ws, make([]bool, ii))
-					wheels[n.Op] = ws
-				}
-				free := true
-				for k := 0; k < dur; k++ {
-					if ws[wi][(s+k)%ii] {
-						free = false
-						break
-					}
-				}
-				if free {
-					for k := 0; k < dur; k++ {
-						ws[wi][(s+k)%ii] = true
-					}
-					start[id] = s
-					instance[id] = wi
-					placed = true
-					break
-				}
-			}
-		}
-		if !placed {
-			return Result{}, false, nil
-		}
-		if f := start[id] + dur; f > latency {
-			latency = f
-		}
-	}
-	return Result{Start: start, Latency: latency, Instance: instance}, true, nil
+	return Result{Start: s.Start, Latency: lat, Instance: s.Instance}, true, nil
 }
 
 // Stages returns the number of pipeline stages of a modulo schedule:

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-stats-gate profile-smoke gobench fuzz chaos trace-smoke loadgen-smoke dist-smoke cover serve ci
+.PHONY: all build vet lint test race bench bench-stats-gate profile-smoke profile-gate gobench fuzz chaos trace-smoke loadgen-smoke dist-smoke cover serve ci
 
 all: build
 
@@ -45,6 +45,18 @@ bench-stats-gate:
 PROFILE_DIR ?= profile-smoke
 profile-smoke:
 	$(GO) run ./cmd/chop profile -short -dir $(PROFILE_DIR)
+
+# profile-gate holds BAD's allocations per op to the committed baselines
+# in bench/baseline/ (chop profile -short -json reports): a workload
+# allocating over 10% more per op than its baseline fails. Allocs/op are
+# deterministic; time is reported but not gated. Refresh a baseline after
+# an intended change with:
+#   go run ./cmd/chop profile -short -json -workload exp2/counts > bench/baseline/exp2/counts.json
+profile-gate:
+	@for w in exp1/counts exp2/counts; do \
+		$(GO) run ./cmd/chop profile -short -workload $$w \
+			-compare bench/baseline/$$w.json -alloc-tolerance 10 || exit 1; \
+	done
 
 # gobench runs the in-tree go test benchmarks (overhead gates etc.).
 # -run '^$' matches no test name, so only benchmarks execute (-run XXX

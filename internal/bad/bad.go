@@ -281,79 +281,14 @@ func Predict(g *dfg.Graph, cfg Config) (Result, error) {
 	}
 	defer cfg.Metrics.Timer("bad.predict_us")()
 
-	// A cyclic graph fails at its first usable module set, as scheduling
-	// it would.
-	sg, gerr := sched.Compile(g)
-	var w *sweep
-	if gerr == nil {
-		w = newSweep(g, sg, cfg)
+	w := newSweep(g, ops, cfg)
+	if err := w.run(sets, sp); err != nil {
+		if ownSpan {
+			sp.End(obs.F("error", err.Error()))
+		}
+		return Result{}, err
 	}
-	dpNS := cfg.Clocks.DatapathNS()
-	for _, set := range sets {
-		cycles, usable := opCycles(set, cfg.Style, dpNS)
-		if !usable {
-			if sp != nil {
-				sp.Point("moduleset", obs.F("id", set.ID()), obs.F("skipped", "too-slow"))
-			}
-			continue // single-cycle style with a module slower than the cycle
-		}
-		if gerr != nil {
-			if ownSpan {
-				sp.End(obs.F("error", gerr.Error()))
-			}
-			return Result{}, gerr
-		}
-		setStart := w.res.Total
-		w.moduleSet(set, cycles)
-		minLat, serial := w.tm.Critical, w.tm.Serial
-		maxII := cfg.MaxII
-		if maxII == 0 {
-			if cfg.Perf.Bound > 0 {
-				maxII = int(cfg.Perf.Bound / dpNS)
-			} else {
-				maxII = serial
-			}
-		}
-		if maxII < 1 {
-			continue
-		}
-
-		// Non-pipelined sweep: target latency L == II. Every schedule built
-		// along the allocation-repair path is a legitimate design point at
-		// its actual latency, so all are recorded; the paper's prediction
-		// totals likewise count re-encountered designs (Fig. 7: 13411
-		// encountered, 699 unique).
-		if !cfg.Style.NoNonPipelined {
-			hi := min(serial, maxII)
-			for L := minLat; L <= hi; L++ {
-				if cfg.ForceDirected {
-					w.forceDirected(L)
-				} else {
-					w.nonPipelined(L)
-				}
-			}
-		}
-		// Pipelined sweep: every candidate initiation interval.
-		if !cfg.Style.NoPipelined {
-			for ii := w.tm.MaxDur; ii <= maxII; ii++ {
-				if ii >= minLat {
-					break // no pipelining benefit past the latency floor
-				}
-				w.pipelined(ii)
-			}
-		}
-		if sp != nil {
-			sp.Point("moduleset", obs.F("id", set.ID()),
-				obs.F("designs", w.res.Total-setStart))
-		}
-	}
-	var res Result
-	switch {
-	case w != nil:
-		res = w.result()
-	case !cfg.KeepAll:
-		res.Designs = []Design{} // the empty Pareto front
-	}
+	res := w.result()
 	sortDesigns(res.Designs)
 	res.Feasible = 0
 	for _, d := range res.Designs {
@@ -390,65 +325,99 @@ func Feasible(d Design, cfg Config) bool {
 	return true
 }
 
-// opCycles returns the per-op execution time in datapath cycles for the
-// module set under the given style, and whether the set is usable at all.
-func opCycles(set lib.ModuleSet, style Style, dpNS float64) (map[dfg.Op]int, bool) {
-	cycles := make(map[dfg.Op]int, len(set))
-	for op, m := range set {
-		if style.MultiCycle {
-			cycles[op] = int(math.Ceil(m.Delay / dpNS))
-			if cycles[op] < 1 {
-				cycles[op] = 1
-			}
-		} else {
-			if m.Delay > dpNS {
-				return nil, false
-			}
-			cycles[op] = 1
+// opCycles writes into cyc the execution time in datapath cycles of each
+// op in ops under the module set and style, and reports whether the set
+// is usable at all.
+func opCycles(set lib.ModuleSet, ops []dfg.Op, style Style, dpNS float64, cyc []int) bool {
+	for op, o := range ops {
+		m := set[o]
+		switch {
+		case style.MultiCycle:
+			cyc[op] = max(int(math.Ceil(m.Delay/dpNS)), 1)
+		case m.Delay > dpNS:
+			return false
+		default:
+			cyc[op] = 1
 		}
 	}
-	return cycles, true
+	return true
 }
 
 // sweep is one Predict call's walk over the design space, compiled in
-// three layers: per graph (the scheduling graph, the allocation facts and
-// the memory traffic), per module set (node durations and everything the
-// schedulers derive from them), and per design point (one schedule on
-// reused scratch). A point is deduplicated on its allocation vector before
-// anything else is computed, so only unique points pay for a prediction,
-// and only points that survive level-1 pruning get their maps.
+// four layers: per graph (the scheduling graph, the allocation facts and
+// the memory traffic), per timing class (the module sets that give every
+// op the same cycle count: node durations, everything the schedulers
+// derive from them, and the sweep's trajectory of scheduled points), per
+// design point (one schedule on reused scratch, then the allocation
+// estimate), and per module set (costing the class's points with the
+// set's own modules). A point is deduplicated on its allocation vector
+// before anything else is computed, so only unique points pay for an
+// estimate, and only points that survive level-1 pruning get their maps.
 type sweep struct {
-	cfg  Config
+	cfg Config
+	// ops are the graph's FU op types, indexed like sg.Ops; cyc the op
+	// cycles of the module set at hand. err is the graph's compile error,
+	// returned at the first usable module set.
+	ops []dfg.Op
+	cyc []int
+	err error
+
 	sg   *sched.Graph
 	est  *alloc.Estimator
 	sc   *sched.Scratch
+	tm   *sched.Timing
 	mems []memTraffic
 
-	// The current module set: its modules and op cycles per op, and its
-	// timing.
-	set   lib.ModuleSet
-	mods  []lib.Module
-	opCyc []int
-	tm    *sched.Timing
-
-	// fus is the allocation of the point being built, per op.
-	fus []int
-	// seen holds the dedup keys (style, II, latency, fus) of the current
-	// module set's points. Module names are unique within a library, so
-	// points of different sets never coincide.
+	// classes are the timing classes met so far. points holds every
+	// class's unique points, one class after another, and arena their
+	// allocation vectors.
+	classes []timingClass
+	points  []point
+	arena   []int
+	// cur is the class being swept and seen the dedup keys (style, II,
+	// latency, fus) of its points. fus is the allocation of the point
+	// being built, per op.
+	cur  *timingClass
 	seen map[string]struct{}
 	key  []byte
+	fus  []int
+	// runs counts the List and Modulo scheduler runs.
+	runs int
+
+	// mods are the current module set's modules per op.
+	mods []lib.Module
 	// res counts the points. kept holds the unique points level-1 pruning
 	// keeps so far, in arrival order: under KeepAll all of them, otherwise
-	// the Pareto front of the feasible ones. Their allocations lie in
-	// keptFUs.
-	res     Result
-	kept    []candidate
-	keptFUs []int
+	// the Pareto front of the feasible ones.
+	res  Result
+	kept []candidate
+}
+
+// timingClass is the sweep's trajectory under one op-cycle vector. A
+// schedule depends on the op durations alone, not on which module runs
+// an op, so every module set with these cycles generates the same
+// points: total of them, repeats included, of which points[lo:hi] are
+// unique, in arrival order. maxII is the class's II cap; a class with a
+// cap below 1 generates nothing.
+type timingClass struct {
+	cycles []int
+	total  int
+	lo, hi int
+	maxII  int
+}
+
+// point is one unique scheduled design point of a timing class: its
+// allocation is arena[fus : fus+len(ops)], and al its register and
+// multiplexer estimate.
+type point struct {
+	style       DesignStyle
+	ii, latency int
+	fus         int
+	al          alloc.Alloc
 }
 
 // candidate is a kept design point whose FUs and MemBits maps are not
-// built yet: its allocation is keptFUs[fus : fus+len(ops)].
+// built yet: its allocation is arena[fus : fus+len(ops)].
 type candidate struct {
 	d   Design
 	fus int
@@ -460,18 +429,21 @@ type memTraffic struct {
 	bits int
 }
 
-func newSweep(g *dfg.Graph, sg *sched.Graph, cfg Config) *sweep {
-	w := &sweep{
-		cfg:   cfg,
-		sg:    sg,
-		est:   alloc.Compile(g),
-		sc:    sched.NewScratch(sg),
-		mods:  make([]lib.Module, len(sg.Ops)),
-		opCyc: make([]int, len(sg.Ops)),
-		fus:   make([]int, len(sg.Ops)),
-		tm:    sg.Time(make([]int, sg.Len())),
-		seen:  make(map[string]struct{}),
+// newSweep compiles g for a sweep over its FU op types ops. A cyclic
+// graph yields a sweep that fails at its first usable module set, as
+// scheduling it would.
+func newSweep(g *dfg.Graph, ops []dfg.Op, cfg Config) *sweep {
+	w := &sweep{cfg: cfg, ops: ops, cyc: make([]int, len(ops))}
+	w.sg, w.err = sched.Compile(g)
+	if w.err != nil {
+		return w
 	}
+	w.est = alloc.Compile(g)
+	w.sc = sched.NewScratch(w.sg)
+	w.tm = w.sg.Time(make([]int, w.sg.Len()))
+	w.seen = make(map[string]struct{})
+	w.fus = make([]int, len(ops))
+	w.mods = make([]lib.Module, len(ops))
 	for _, n := range g.Nodes {
 		if !n.Op.IsMemory() {
 			continue
@@ -486,21 +458,96 @@ func newSweep(g *dfg.Graph, sg *sched.Graph, cfg Config) *sweep {
 	return w
 }
 
-// moduleSet switches the sweep to a module set with the given op cycles.
-func (w *sweep) moduleSet(set lib.ModuleSet, cycles map[dfg.Op]int) {
-	w.set = set
-	for op, o := range w.sg.Ops {
-		w.mods[op] = set[o]
-		w.opCyc[op] = cycles[o]
+// run sweeps the module sets in order: each usable set costs the points
+// of its timing class, which the class's first set schedules.
+func (w *sweep) run(sets []lib.ModuleSet, sp *obs.Span) error {
+	dpNS := w.cfg.Clocks.DatapathNS()
+	for _, set := range sets {
+		if !opCycles(set, w.ops, w.cfg.Style, dpNS, w.cyc) {
+			if sp != nil {
+				sp.Point("moduleset", obs.F("id", set.ID()), obs.F("skipped", "too-slow"))
+			}
+			continue // single-cycle style with a module slower than the cycle
+		}
+		if w.err != nil {
+			return w.err
+		}
+		c := w.class()
+		if c.maxII < 1 {
+			continue
+		}
+		w.cost(set, c)
+		if sp != nil {
+			sp.Point("moduleset", obs.F("id", set.ID()), obs.F("designs", c.total))
+		}
 	}
+	return nil
+}
+
+// class returns the timing class of the op cycles in w.cyc, sweeping it
+// first when no earlier module set had these cycles.
+func (w *sweep) class() *timingClass {
+	for i := range w.classes {
+		if slices.Equal(w.classes[i].cycles, w.cyc) {
+			return &w.classes[i]
+		}
+	}
+	w.classes = append(w.classes, timingClass{cycles: slices.Clone(w.cyc)})
+	c := &w.classes[len(w.classes)-1]
+	w.sweepClass(c)
+	return c
+}
+
+// sweepClass retimes the graph under c's op cycles and records c's
+// trajectory: every schedule the non-pipelined and pipelined sweeps
+// build, deduplicated.
+func (w *sweep) sweepClass(c *timingClass) {
+	w.cur = c
 	dur := w.tm.Dur
 	for id, op := range w.sg.OpOf {
 		if op >= 0 {
-			dur[id] = w.opCyc[op]
+			dur[id] = c.cycles[op]
 		}
 	}
 	w.tm.Retime(dur)
 	clear(w.seen)
+	c.lo = len(w.points)
+
+	cfg := w.cfg
+	minLat, serial := w.tm.Critical, w.tm.Serial
+	c.maxII = cfg.MaxII
+	if c.maxII == 0 {
+		if cfg.Perf.Bound > 0 {
+			c.maxII = int(cfg.Perf.Bound / cfg.Clocks.DatapathNS())
+		} else {
+			c.maxII = serial
+		}
+	}
+	// Non-pipelined sweep: target latency L == II. Every schedule built
+	// along the allocation-repair path is a legitimate design point at
+	// its actual latency, so all are recorded; the paper's prediction
+	// totals likewise count re-encountered designs (Fig. 7: 13411
+	// encountered, 699 unique).
+	if !cfg.Style.NoNonPipelined {
+		hi := min(serial, c.maxII)
+		for L := minLat; L <= hi; L++ {
+			if cfg.ForceDirected {
+				w.forceDirected(L)
+			} else {
+				w.nonPipelined(L)
+			}
+		}
+	}
+	// Pipelined sweep: every candidate initiation interval below the
+	// latency floor (no pipelining benefit past it). The wheels are sized
+	// once, for the largest.
+	if hi := min(c.maxII, minLat-1); !cfg.Style.NoPipelined && w.tm.MaxDur <= hi {
+		w.sc.Reserve(hi)
+		for ii := w.tm.MaxDur; ii <= hi; ii++ {
+			w.pipelined(ii)
+		}
+	}
+	c.hi = len(w.points)
 }
 
 // nonPipelined sweeps one target latency with list scheduling: start from
@@ -510,6 +557,7 @@ func (w *sweep) moduleSet(set lib.ModuleSet, cycles map[dfg.Op]int) {
 func (w *sweep) nonPipelined(target int) {
 	w.fus = w.tm.MinFUs(target, w.fus)
 	for attempt := 0; ; attempt++ {
+		w.runs++
 		lat, err := w.tm.List(w.fus, w.sc)
 		if err != nil {
 			return
@@ -543,6 +591,7 @@ func (w *sweep) forceDirected(target int) {
 func (w *sweep) pipelined(ii int) {
 	w.fus = w.tm.MinFUs(ii, w.fus)
 	for attempt := 0; ; attempt++ {
+		w.runs++
 		if lat, ok := w.tm.Modulo(w.fus, ii, w.sc); ok {
 			w.record(Pipelined, ii, lat, w.sc.Start)
 			return
@@ -562,7 +611,7 @@ func (w *sweep) bumpBottleneck() {
 		if n >= cnt {
 			continue // already fully parallel
 		}
-		if pressure := float64(cnt*w.opCyc[op]) / float64(n); pressure > worst {
+		if pressure := float64(cnt*w.cur.cycles[op]) / float64(n); pressure > worst {
 			worst, worstOp = pressure, op
 		}
 	}
@@ -571,10 +620,11 @@ func (w *sweep) bumpBottleneck() {
 	}
 }
 
-// record counts one design point with the current allocation and, when it
-// is new, builds its Design and applies the level-1 prune.
+// record counts one design point of the class being swept with the
+// current allocation and, when it is new, keeps it with its allocation
+// estimate.
 func (w *sweep) record(style DesignStyle, ii, latency int, start []int) {
-	w.res.Total++
+	w.cur.total++
 	k := append(w.key[:0], byte(style))
 	k = binary.AppendUvarint(k, uint64(ii))
 	k = binary.AppendUvarint(k, uint64(latency))
@@ -586,20 +636,37 @@ func (w *sweep) record(style DesignStyle, ii, latency int, start []int) {
 		return
 	}
 	w.seen[string(k)] = struct{}{}
-	w.res.Unique++
-	d := w.finish(style, ii, latency, start)
-	if !w.cfg.KeepAll {
-		// Level-1 prune: discard immediately if clearly infeasible.
-		if !Feasible(d, w.cfg) {
-			w.cfg.Metrics.Inc("bad.pruned_level1")
-			return
-		}
-		if !w.joinFront(&d) {
-			return
-		}
+	w.points = append(w.points, point{
+		style: style, ii: ii, latency: latency, fus: len(w.arena),
+		al: w.est.Estimate(start, w.tm.Dur, w.fus, ii),
+	})
+	w.arena = append(w.arena, w.fus...)
+}
+
+// cost predicts every point of class c with the module set's modules, in
+// arrival order, and applies the level-1 prune. The class's counts add
+// to the set's: its points are the set's points.
+func (w *sweep) cost(set lib.ModuleSet, c *timingClass) {
+	for op, o := range w.ops {
+		w.mods[op] = set[o]
 	}
-	w.kept = append(w.kept, candidate{d: d, fus: len(w.keptFUs)})
-	w.keptFUs = append(w.keptFUs, w.fus...)
+	w.res.Total += c.total
+	w.res.Unique += c.hi - c.lo
+	for i := c.lo; i < c.hi; i++ {
+		p := &w.points[i]
+		d := price(w.cfg, set, w.mods, w.sg.Count, w.arena[p.fus:p.fus+len(w.ops)], p)
+		if !w.cfg.KeepAll {
+			// Level-1 prune: discard immediately if clearly infeasible.
+			if !Feasible(d, w.cfg) {
+				w.cfg.Metrics.Inc("bad.pruned_level1")
+				continue
+			}
+			if !w.joinFront(&d) {
+				continue
+			}
+		}
+		w.kept = append(w.kept, candidate{d: d, fus: p.fus})
+	}
 }
 
 // joinFront keeps kept the Pareto front of the feasible points: it
@@ -627,7 +694,8 @@ func superior(e, d *Design) bool {
 }
 
 // result completes the kept points into Designs with their FUs and
-// MemBits maps.
+// MemBits maps. Without level-1 pruning and with nothing kept, Designs
+// stays nil; with pruning, an empty front is an empty slice.
 func (w *sweep) result() Result {
 	res := w.res
 	if w.kept == nil && w.cfg.KeepAll {
@@ -636,10 +704,10 @@ func (w *sweep) result() Result {
 	res.Designs = make([]Design, len(w.kept))
 	for i, c := range w.kept {
 		d := c.d
-		d.FUs = make(map[dfg.Op]int, len(w.sg.Ops))
-		for op, n := range w.keptFUs[c.fus : c.fus+len(w.sg.Ops)] {
+		d.FUs = make(map[dfg.Op]int, len(w.ops))
+		for op, n := range w.arena[c.fus : c.fus+len(w.ops)] {
 			if n > 0 {
-				d.FUs[w.sg.Ops[op]] = n
+				d.FUs[w.ops[op]] = n
 			}
 		}
 		if len(w.mems) > 0 {
@@ -653,23 +721,23 @@ func (w *sweep) result() Result {
 	return res
 }
 
-// finish predicts the current point from its schedule: every Design
-// field but the FUs and MemBits maps. Sums over ops run in op order, so
-// results do not depend on map iteration.
-func (w *sweep) finish(style DesignStyle, ii, latency int, start []int) Design {
-	cfg := w.cfg
+// price predicts scheduled point p, whose allocation is fus, under
+// module set set: every Design field but the FUs and MemBits maps. mods
+// are the set's modules and count the graph's nodes, per op. Sums over
+// ops run in op order, so results do not depend on map iteration.
+func price(cfg Config, set lib.ModuleSet, mods []lib.Module, count, fus []int, p *point) Design {
 	l := cfg.Lib
-	al := w.est.Estimate(start, w.tm.Dur, w.fus, ii)
+	al := p.al
 
 	var fuArea, fuPower float64
 	maxShare := 1
-	for op, n := range w.fus {
+	for op, n := range fus {
 		if n == 0 {
 			continue
 		}
-		fuArea += float64(n) * w.mods[op].Area
-		fuPower += float64(n) * w.mods[op].Power
-		maxShare = max(maxShare, (w.sg.Count[op]+n-1)/n)
+		fuArea += float64(n) * mods[op].Area
+		fuPower += float64(n) * mods[op].Power
+		maxShare = max(maxShare, (count[op]+n-1)/n)
 	}
 	regArea := float64(al.RegisterBits) * l.Register.Area
 	muxArea := float64(al.Mux1Bit) * l.Mux.Area
@@ -679,8 +747,9 @@ func (w *sweep) finish(style DesignStyle, ii, latency int, start []int) Design {
 	}
 	routing := wire.RoutingArea(cellArea, al.Nets)
 
+	ii, latency := p.ii, p.latency
 	states := latency
-	if style == Pipelined && ii < states {
+	if p.style == Pipelined && ii < states {
 		states = ii * sched.Stages(latency, ii) // controller tracks all stages
 	}
 	states = max(states, 1)
@@ -702,8 +771,8 @@ func (w *sweep) finish(style DesignStyle, ii, latency int, start []int) Design {
 
 	power := fuPower + float64(al.RegisterBits)*l.Register.Power + float64(al.Mux1Bit)*l.Mux.Power
 	return Design{
-		Style:         style,
-		ModuleSet:     w.set,
+		Style:         p.style,
+		ModuleSet:     set,
 		II:            ii,
 		Latency:       latency,
 		Stages:        sched.Stages(latency, ii),

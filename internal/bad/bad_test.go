@@ -60,14 +60,16 @@ func TestClocksValidate(t *testing.T) {
 
 func TestOpCyclesSingleCycleRejectsSlowModules(t *testing.T) {
 	l := lib.Table1Library()
+	ops := []dfg.Op{dfg.OpMul}
+	cycles := make([]int, len(ops))
 	mul3 := l.ModulesFor(dfg.OpMul)[2] // 7370 ns
 	set := lib.ModuleSet{dfg.OpMul: mul3}
-	if _, ok := opCycles(set, Style{MultiCycle: false}, 3000); ok {
+	if opCycles(set, ops, Style{MultiCycle: false}, 3000, cycles) {
 		t.Fatal("mul3 must not fit a 3000 ns single-cycle datapath")
 	}
 	mul2 := l.ModulesFor(dfg.OpMul)[1] // 2950 ns
-	cycles, ok := opCycles(lib.ModuleSet{dfg.OpMul: mul2}, Style{MultiCycle: false}, 3000)
-	if !ok || cycles[dfg.OpMul] != 1 {
+	ok := opCycles(lib.ModuleSet{dfg.OpMul: mul2}, ops, Style{MultiCycle: false}, 3000, cycles)
+	if !ok || cycles[0] != 1 {
 		t.Fatalf("mul2 single-cycle = %v ok=%v", cycles, ok)
 	}
 }
@@ -78,11 +80,12 @@ func TestOpCyclesMultiCycle(t *testing.T) {
 		dfg.OpMul: l.ModulesFor(dfg.OpMul)[1], // 2950 -> 10 cycles @300
 		dfg.OpAdd: l.ModulesFor(dfg.OpAdd)[0], // 34 -> 1 cycle
 	}
-	cycles, ok := opCycles(set, Style{MultiCycle: true}, 300)
-	if !ok {
+	ops := []dfg.Op{dfg.OpAdd, dfg.OpMul}
+	cycles := make([]int, len(ops))
+	if !opCycles(set, ops, Style{MultiCycle: true}, 300, cycles) {
 		t.Fatal("multi-cycle must accept any module")
 	}
-	if cycles[dfg.OpMul] != 10 || cycles[dfg.OpAdd] != 1 {
+	if cycles[1] != 10 || cycles[0] != 1 {
 		t.Fatalf("cycles = %v", cycles)
 	}
 }

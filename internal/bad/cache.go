@@ -4,8 +4,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -139,39 +138,79 @@ func (c *PredictCache) Stats() CacheStats {
 // Two calls with equal keys produce identical Results, so cache hits are
 // safe across different partitionings, advisor sessions and server jobs.
 func CacheKey(g *dfg.Graph, cfg Config) string {
-	h := sha256.New()
-	writeGraph(h, g)
+	b := make([]byte, 0, 64*(len(g.Nodes)+len(cfg.Lib.Modules)+4))
+	b = appendGraphKey(b, g)
 	l := cfg.Lib
-	fmt.Fprintf(h, "lib|%s|%d;", l.Name, len(l.Modules))
+	b = append(b, "lib|"...)
+	b = append(b, l.Name...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(len(l.Modules)), 10)
+	b = append(b, ';')
 	for _, m := range l.Modules {
-		writeModuleKey(h, m.Name, m)
+		b = appendModuleKey(b, m.Name, m)
 	}
-	writeModuleKey(h, "reg", l.Register)
-	writeModuleKey(h, "mux", l.Mux)
+	b = appendModuleKey(b, "reg", l.Register)
+	b = appendModuleKey(b, "mux", l.Mux)
 	maxRepair := cfg.MaxRepair
 	if maxRepair <= 0 {
 		maxRepair = 6 // Predict's default; keep standalone keys consistent
 	}
-	fmt.Fprintf(h, "style|%t|%t|%t|%t;clk|%g|%d|%d;",
-		cfg.Style.MultiCycle, cfg.Style.NoPipelined, cfg.Style.NoNonPipelined,
-		cfg.Style.Testability, cfg.Clocks.MainNS, cfg.Clocks.DatapathMult,
-		cfg.Clocks.TransferMult)
-	fmt.Fprintf(h, "bound|%g|%g|%g|%g|%g|%t;sweep|%d|%d|%t;",
-		cfg.MaxArea, cfg.Perf.Bound, cfg.Perf.MinProb, cfg.Delay.Bound,
-		cfg.Delay.MinProb, cfg.KeepAll, cfg.MaxII, maxRepair, cfg.ForceDirected)
-	return hex.EncodeToString(h.Sum(nil))
+	b = append(b, "style"...)
+	for _, t := range []bool{cfg.Style.MultiCycle, cfg.Style.NoPipelined, cfg.Style.NoNonPipelined, cfg.Style.Testability} {
+		b = strconv.AppendBool(append(b, '|'), t)
+	}
+	b = append(b, ";clk|"...)
+	b = appendFloat(b, cfg.Clocks.MainNS)
+	b = strconv.AppendInt(append(b, '|'), int64(cfg.Clocks.DatapathMult), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(cfg.Clocks.TransferMult), 10)
+	b = append(b, ";bound"...)
+	for _, f := range []float64{cfg.MaxArea, cfg.Perf.Bound, cfg.Perf.MinProb, cfg.Delay.Bound, cfg.Delay.MinProb} {
+		b = appendFloat(append(b, '|'), f)
+	}
+	b = strconv.AppendBool(append(b, '|'), cfg.KeepAll)
+	b = append(b, ";sweep|"...)
+	b = strconv.AppendInt(b, int64(cfg.MaxII), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(maxRepair), 10)
+	b = strconv.AppendBool(append(b, '|'), cfg.ForceDirected)
+	b = append(b, ';')
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
-func writeGraph(w io.Writer, g *dfg.Graph) {
-	fmt.Fprintf(w, "g|%d|%d;", len(g.Nodes), len(g.Edges))
+// appendGraphKey appends the graph's structure to a cache key.
+func appendGraphKey(b []byte, g *dfg.Graph) []byte {
+	b = append(b, "g|"...)
+	b = strconv.AppendInt(b, int64(len(g.Nodes)), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(len(g.Edges)), 10)
+	b = append(b, ';')
 	for _, n := range g.Nodes {
-		fmt.Fprintf(w, "n|%s|%d|%s;", n.Op, n.Width, n.Mem)
+		b = append(append(b, "n|"...), n.Op...)
+		b = strconv.AppendInt(append(b, '|'), int64(n.Width), 10)
+		b = append(append(b, '|'), n.Mem...)
+		b = append(b, ';')
 	}
 	for _, e := range g.Edges {
-		fmt.Fprintf(w, "e|%d|%d;", e.From, e.To)
+		b = strconv.AppendInt(append(b, "e|"...), int64(e.From), 10)
+		b = strconv.AppendInt(append(b, '|'), int64(e.To), 10)
+		b = append(b, ';')
 	}
+	return b
 }
 
-func writeModuleKey(w io.Writer, tag string, m lib.Module) {
-	fmt.Fprintf(w, "m|%s|%s|%s|%d|%g|%g|%g;", tag, m.Name, m.Op, m.Width, m.Area, m.Delay, m.Power)
+// appendModuleKey appends one module, under tag, to a cache key.
+func appendModuleKey(b []byte, tag string, m lib.Module) []byte {
+	b = append(append(b, "m|"...), tag...)
+	b = append(append(b, '|'), m.Name...)
+	b = append(append(b, '|'), m.Op...)
+	b = strconv.AppendInt(append(b, '|'), int64(m.Width), 10)
+	for _, f := range []float64{m.Area, m.Delay, m.Power} {
+		b = appendFloat(append(b, '|'), f)
+	}
+	return append(b, ';')
+}
+
+// appendFloat appends f as fmt's %g verb prints it: the shortest
+// representation that round-trips.
+func appendFloat(b []byte, f float64) []byte {
+	return strconv.AppendFloat(b, f, 'g', -1, 64)
 }

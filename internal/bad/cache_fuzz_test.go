@@ -34,10 +34,11 @@ func fuzzGraph(data []byte) *dfg.Graph {
 	return g
 }
 
-// FuzzPredictCacheKey checks three properties of the content hash on
-// arbitrary generated graphs: it never panics, it is deterministic, and
-// it is sensitive to content mutations (width change, config change)
-// while insensitive to node renaming.
+// FuzzPredictCacheKey checks four properties of the content hash on
+// arbitrary generated graphs: it never panics, it equals the fmt
+// referee's, it is deterministic, and it is sensitive to content
+// mutations (width change, config change) while insensitive to node
+// renaming.
 func FuzzPredictCacheKey(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
@@ -50,6 +51,9 @@ func FuzzPredictCacheKey(f *testing.F) {
 		key := CacheKey(g, cfg)
 		if key == "" {
 			t.Fatal("empty cache key")
+		}
+		if want := refCacheKey(g, cfg); key != want {
+			t.Fatalf("key %s, fmt referee %s", key, want)
 		}
 		if again := CacheKey(fuzzGraph(data), cfg); again != key {
 			t.Fatalf("key not deterministic: %q vs %q", key, again)

@@ -1,7 +1,10 @@
 package bad
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -274,5 +277,69 @@ func TestPredictCacheConcurrent(t *testing.T) {
 	s := c.Stats()
 	if s.Hits+s.Misses == 0 {
 		t.Fatal("no lookups recorded")
+	}
+}
+
+// refCacheKey is the cache key written with fmt, the form CacheKey's
+// text was first defined in. CacheKey must produce the same bytes, so
+// keys and hashes stay stable across its rewrite.
+func refCacheKey(g *dfg.Graph, cfg Config) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "g|%d|%d;", len(g.Nodes), len(g.Edges))
+	for _, n := range g.Nodes {
+		fmt.Fprintf(h, "n|%s|%d|%s;", n.Op, n.Width, n.Mem)
+	}
+	for _, e := range g.Edges {
+		fmt.Fprintf(h, "e|%d|%d;", e.From, e.To)
+	}
+	module := func(tag string, m lib.Module) {
+		fmt.Fprintf(h, "m|%s|%s|%s|%d|%g|%g|%g;", tag, m.Name, m.Op, m.Width, m.Area, m.Delay, m.Power)
+	}
+	l := cfg.Lib
+	fmt.Fprintf(h, "lib|%s|%d;", l.Name, len(l.Modules))
+	for _, m := range l.Modules {
+		module(m.Name, m)
+	}
+	module("reg", l.Register)
+	module("mux", l.Mux)
+	maxRepair := cfg.MaxRepair
+	if maxRepair <= 0 {
+		maxRepair = 6
+	}
+	fmt.Fprintf(h, "style|%t|%t|%t|%t;clk|%g|%d|%d;",
+		cfg.Style.MultiCycle, cfg.Style.NoPipelined, cfg.Style.NoNonPipelined,
+		cfg.Style.Testability, cfg.Clocks.MainNS, cfg.Clocks.DatapathMult,
+		cfg.Clocks.TransferMult)
+	fmt.Fprintf(h, "bound|%g|%g|%g|%g|%g|%t;sweep|%d|%d|%t;",
+		cfg.MaxArea, cfg.Perf.Bound, cfg.Perf.MinProb, cfg.Delay.Bound,
+		cfg.Delay.MinProb, cfg.KeepAll, cfg.MaxII, maxRepair, cfg.ForceDirected)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCacheKeyMatchesFmtReferee compares CacheKey with the fmt referee
+// over the golden corpus and over configurations whose floats print in
+// every %g form: exponents, negative zero, subnormals, infinities, NaN.
+func TestCacheKeyMatchesFmtReferee(t *testing.T) {
+	for _, c := range goldenCorpus() {
+		if got, want := CacheKey(c.g, c.cfg), refCacheKey(c.g, c.cfg); got != want {
+			t.Fatalf("%s: key %s, fmt referee %s", c.name, got, want)
+		}
+	}
+	g := goldenMemGraph()
+	for _, f := range []float64{0, math.Copysign(0, -1), 1e21, 1e20, 1.5e-7, 123456789.125,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), -0.1} {
+		cfg := exp2Config()
+		cfg.Lib = lib.ExtendedLibrary()
+		cfg.Lib.Name = "odd|name;"
+		cfg.Lib.Modules[0].Area = f
+		cfg.Lib.Mux.Power = f
+		cfg.Clocks.MainNS = f
+		cfg.MaxArea = f
+		cfg.Delay.MinProb = f
+		cfg.MaxII, cfg.MaxRepair = -3, 9
+		cfg.KeepAll, cfg.ForceDirected, cfg.Style.Testability = true, true, true
+		if got, want := CacheKey(g, cfg), refCacheKey(g, cfg); got != want {
+			t.Fatalf("float %v: key %s, fmt referee %s", f, got, want)
+		}
 	}
 }

@@ -151,8 +151,12 @@ func RunProfile(opts ProfileOptions) (*ProfileReport, error) {
 	pa := obs.NewPhaseAccounter()
 	pa.EnableAllocCounting()
 	// One warm-up iteration outside the measurement: lazy singletons
-	// (the shared stress problem) must not pollute the attribution.
+	// (the shared stress problem) must not pollute the attribution. It
+	// counts allocations too, so the runtime's one-time growth under the
+	// counter's stop-the-world reads (the Ms that restart the world)
+	// happens here, not inside a measured phase.
 	warm := obs.NewPhaseAccounter()
+	warm.EnableAllocCounting()
 	if err := w.ProfiledRun(warm); err != nil {
 		prof.Stop()
 		return nil, fmt.Errorf("benchkit: %s: %w", w.Name, err)

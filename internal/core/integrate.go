@@ -279,26 +279,30 @@ func newIntegrator(p *Partitioning, cfg Config) (*integrator, error) {
 		blockOf[blk.Name] = bi
 		it.memBW[bi] = blk.BandwidthPerCycle(cfg.Clocks.MainNS)
 	}
-	// Memory traffic per partition, from the subgraphs. A partition holds
-	// one port of every block it accesses while it runs; off-chip blocks
-	// also reserve their unshared pins on the partition's chip.
+	// Memory traffic per partition. A partition subgraph's memory nodes
+	// are exactly the partition's own (its boundary markers are inputs and
+	// outputs), so the partition's node list is walked directly. A
+	// partition holds one port of every block it accesses while it runs;
+	// off-chip blocks also reserve their unshared pins on the partition's
+	// chip.
 	partBlocks := make([][]int, nP)
-	for pi, sub := range p.Subgraphs() {
-		bits := map[string]int{}
-		for _, n := range sub.Nodes {
-			if n.Op.IsMemory() {
-				bits[n.Mem] += n.Width
-			}
-		}
+	for pi, set := range p.Parts {
 		ci := p.PartChip[pi]
-		for name, b := range bits {
-			bi, ok := blockOf[name]
-			if !ok {
-				return nil, fmt.Errorf("core: partition %d accesses unknown memory %q", pi+1, name)
+		for _, id := range set {
+			n := &p.Graph.Nodes[id]
+			if !n.Op.IsMemory() {
+				continue
 			}
-			it.memBits[bi] += b
+			bi, ok := blockOf[n.Mem]
+			if !ok {
+				return nil, fmt.Errorf("core: partition %d accesses unknown memory %q", pi+1, n.Mem)
+			}
+			it.memBits[bi] += n.Width
+			if slices.Contains(partBlocks[pi], bi) {
+				continue
+			}
 			partBlocks[pi] = append(partBlocks[pi], bi)
-			if !p.Mem.OnChip(name, ci) {
+			if !p.Mem.OnChip(n.Mem, ci) {
 				it.memPins[ci] += p.Mem.Blocks[bi].DataPins()
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"reflect"
+	"sort"
 	"testing"
 
 	"chop/internal/bad"
@@ -105,8 +106,35 @@ func referenceSearch(t *testing.T, p *Partitioning, cfg Config, preds []bad.Resu
 	default:
 		t.Fatalf("reference: unknown heuristic %d", h)
 	}
-	finishSearch(&res)
+	res.Best = refNonInferior(res.Best)
 	return res
+}
+
+// refNonInferior reduces feasible designs, in the order they were met, to
+// the non-inferior set, fastest first: a stable sort on (II, system
+// delay), then a filter that drops every design some earlier kept design
+// is no worse than on both.
+func refNonInferior(best []GlobalDesign) []GlobalDesign {
+	sort.SliceStable(best, func(i, j int) bool {
+		if best[i].IIMain != best[j].IIMain {
+			return best[i].IIMain < best[j].IIMain
+		}
+		return best[i].DelayMain < best[j].DelayMain
+	})
+	var keep []GlobalDesign
+	for _, g := range best {
+		dominated := false
+		for _, k := range keep {
+			if k.IIMain <= g.IIMain && k.DelayMain <= g.DelayMain {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			keep = append(keep, g)
+		}
+	}
+	return keep
 }
 
 // requireReference asserts got is byte-identical (as JSON, and DeepEqual)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"chop/internal/bad"
@@ -424,8 +426,9 @@ func pick(choice []bad.Design, lists [][]bad.Design, w []int) {
 // record books a trial into the search result, applying level-2 pruning:
 // infeasible global predictions are discarded immediately unless KeepAll.
 // The pruning decision is emitted as a trace event when tracing is on. A
-// feasible design leaves the search here, so it is the one that gets its
-// own copies of the trial's slices.
+// feasible design joins Best only when no kept design is as good (see
+// admitBest), and then it leaves the search, so it is the one that gets
+// its own copies of the trial's slices.
 //
 // record always appends to a single-goroutine result: a one-worker
 // search's one SearchResult, or a shard's private buffer (see mergeShards).
@@ -434,7 +437,9 @@ func pick(choice []bad.Design, lists [][]bad.Design, w []int) {
 func record(res *SearchResult, cfg Config, g *GlobalDesign, sp *obs.Span) {
 	if g.Feasible {
 		res.FeasibleTrials++
-		res.Best = append(res.Best, g.own())
+		if res.admitBest(g) {
+			res.Best = append(res.Best, g.own())
+		}
 	} else if sp != nil && !cfg.KeepAll {
 		sp.Point("prune", obs.F("reason", g.ReasonCode.String()))
 	}
@@ -450,28 +455,33 @@ func record(res *SearchResult, cfg Config, g *GlobalDesign, sp *obs.Span) {
 	}
 }
 
-// finishSearch reduces Best to the non-inferior set: no kept design is
-// dominated on (II, system delay), matching the "feasible and non-inferior
-// predicted designs" reported in the paper's tables.
-func finishSearch(res *SearchResult) {
-	sort.SliceStable(res.Best, func(i, j int) bool {
-		if res.Best[i].IIMain != res.Best[j].IIMain {
-			return res.Best[i].IIMain < res.Best[j].IIMain
-		}
-		return res.Best[i].DelayMain < res.Best[j].DelayMain
-	})
-	var keep []GlobalDesign
-	for _, g := range res.Best {
-		dominated := false
-		for _, k := range keep {
-			if k.IIMain <= g.IIMain && k.DelayMain <= g.DelayMain {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			keep = append(keep, g)
+// admitBest keeps Best non-inferior on (II, system delay), matching the
+// "feasible and non-inferior predicted designs" reported in the paper's
+// tables, as design g arrives. It reports false when a kept design is no
+// worse than g on both, so of equal designs the first one stays.
+// Otherwise it drops the kept designs g dominates and reports true, for
+// the caller to append g. Every design met is kept or no better than a
+// kept one, and that relation is transitive, so the kept designs are
+// exactly those no earlier design is as good as and no design beats.
+func (res *SearchResult) admitBest(g *GlobalDesign) bool {
+	for i := range res.Best {
+		if res.Best[i].IIMain <= g.IIMain && res.Best[i].DelayMain <= g.DelayMain {
+			return false
 		}
 	}
-	res.Best = keep
+	res.Best = slices.DeleteFunc(res.Best, func(k GlobalDesign) bool {
+		return g.IIMain <= k.IIMain && g.DelayMain <= k.DelayMain
+	})
+	return true
+}
+
+// finishSearch orders the non-inferior designs fastest first. Their
+// (II, system delay) pairs are distinct, so the order is total.
+func finishSearch(res *SearchResult) {
+	slices.SortFunc(res.Best, func(a, b GlobalDesign) int {
+		if a.IIMain != b.IIMain {
+			return cmp.Compare(a.IIMain, b.IIMain)
+		}
+		return cmp.Compare(a.DelayMain, b.DelayMain)
+	})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -317,26 +319,82 @@ func TestRecordEmitsPruneEvents(t *testing.T) {
 }
 
 func TestFinishSearchNonInferior(t *testing.T) {
-	gd := func(ii, delay int) GlobalDesign {
-		return GlobalDesign{Feasible: true, IIMain: ii, DelayMain: delay}
+	// tag tells exact twins apart through a field the dominance test
+	// ignores.
+	gd := func(ii, delay, tag int) GlobalDesign {
+		return GlobalDesign{Feasible: true, IIMain: ii, DelayMain: delay,
+			DelayNS: stats.Triplet{ML: float64(tag)}}
 	}
-	res := SearchResult{Best: []GlobalDesign{
-		gd(4, 10),
-		gd(4, 10), // exact tie: dominated by its twin, only one survives
-		gd(4, 12), // dominated at equal II
-		gd(5, 8),
-		gd(6, 8), // delay tie at higher II: dominated
-		gd(3, 20),
-	}}
+	var res SearchResult
+	for _, g := range []GlobalDesign{
+		gd(7, 30, 0), // kept, then dominated by (3, 20): evicted
+		gd(4, 10, 1),
+		gd(4, 10, 2), // exact tie: dominated by its twin, the first survives
+		gd(4, 12, 3), // dominated at equal II
+		gd(5, 8, 4),
+		gd(6, 8, 5), // delay tie at higher II: dominated
+		gd(3, 20, 6),
+	} {
+		record(&res, Config{}, &g, nil)
+	}
 	finishSearch(&res)
-	want := [][2]int{{3, 20}, {4, 10}, {5, 8}}
+	want := [][3]int{{3, 20, 6}, {4, 10, 1}, {5, 8, 4}}
 	if len(res.Best) != len(want) {
 		t.Fatalf("kept %d designs, want %d: %+v", len(res.Best), len(want), res.Best)
 	}
 	for i, w := range want {
-		if res.Best[i].IIMain != w[0] || res.Best[i].DelayMain != w[1] {
-			t.Fatalf("kept[%d] = (%d,%d), want (%d,%d)",
-				i, res.Best[i].IIMain, res.Best[i].DelayMain, w[0], w[1])
+		if res.Best[i].IIMain != w[0] || res.Best[i].DelayMain != w[1] || res.Best[i].DelayNS.ML != float64(w[2]) {
+			t.Fatalf("kept[%d] = (%d,%d) tag %v, want (%d,%d) tag %d",
+				i, res.Best[i].IIMain, res.Best[i].DelayMain, res.Best[i].DelayNS.ML, w[0], w[1], w[2])
+		}
+	}
+}
+
+// TestBestMatchesReference checks the online non-inferior set against
+// the reference reduction (stable sort, then filter) over random designs
+// with many ties, recorded into one result and recorded per shard then
+// merged in shard order.
+func TestBestMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 500; iter++ {
+		n := rng.Intn(40)
+		gs := make([]GlobalDesign, n)
+		for i := range gs {
+			gs[i] = GlobalDesign{Feasible: true, IIMain: 1 + rng.Intn(6), DelayMain: 1 + rng.Intn(6),
+				DelayNS: stats.Triplet{ML: float64(i)}}
+		}
+		want := refNonInferior(slices.Clone(gs))
+
+		var one SearchResult
+		for i := range gs {
+			record(&one, Config{}, &gs[i], nil)
+		}
+		finishSearch(&one)
+
+		var merged SearchResult
+		lo := 0
+		for lo < n {
+			hi := lo + 1 + rng.Intn(n-lo)
+			var shard SearchResult
+			for i := lo; i < hi; i++ {
+				record(&shard, Config{}, &gs[i], nil)
+			}
+			mergeShard(&merged, &shard)
+			lo = hi
+		}
+		finishSearch(&merged)
+
+		for _, got := range []SearchResult{one, merged} {
+			if len(got.Best) != len(want) {
+				t.Fatalf("iter %d: kept %d designs, want %d", iter, len(got.Best), len(want))
+			}
+			for i := range want {
+				g, w := got.Best[i], want[i]
+				if g.IIMain != w.IIMain || g.DelayMain != w.DelayMain || g.DelayNS != w.DelayNS {
+					t.Fatalf("iter %d: kept[%d] = (%d,%d) #%v, want (%d,%d) #%v", iter, i,
+						g.IIMain, g.DelayMain, g.DelayNS.ML, w.IIMain, w.DelayMain, w.DelayNS.ML)
+				}
+			}
 		}
 	}
 }

@@ -260,12 +260,17 @@ func (s *shard) interrupted() error {
 	return nil
 }
 
-// mergeShard appends one shard's counters, designs and space points onto
-// the aggregate, preserving shard order.
+// mergeShard adds one shard's counters, designs and space points onto
+// the aggregate, preserving shard order: the shard's designs join the
+// aggregate's non-inferior set as if recorded there.
 func mergeShard(dst *SearchResult, s *SearchResult) {
 	dst.Trials += s.Trials
 	dst.FeasibleTrials += s.FeasibleTrials
-	dst.Best = append(dst.Best, s.Best...)
+	for i := range s.Best {
+		if dst.admitBest(&s.Best[i]) {
+			dst.Best = append(dst.Best, s.Best[i])
+		}
+	}
 	dst.Space = append(dst.Space, s.Space...)
 }
 

@@ -219,6 +219,15 @@ func NewScratch(c *Graph) *Scratch {
 	return s
 }
 
+// Reserve sizes the modulo scheduler's wheels for initiation intervals up
+// to ii exactly, so a sweep over increasing intervals that knows its last
+// interval allocates them once instead of growing them by doubling.
+func (s *Scratch) Reserve(ii int) {
+	if need := len(s.finish) * ii; len(s.run) < need {
+		s.run = make([]int, need)
+	}
+}
+
 // List runs critical-path list scheduling under the allocation limit (one
 // positive entry per op; an op can never have more than Count[op] units
 // busy, so Count or more means unconstrained). It leaves the schedule in

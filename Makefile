@@ -46,14 +46,14 @@ PROFILE_DIR ?= profile-smoke
 profile-smoke:
 	$(GO) run ./cmd/chop profile -short -dir $(PROFILE_DIR)
 
-# profile-gate holds BAD's allocations per op to the committed baselines
-# in bench/baseline/ (chop profile -short -json reports): a workload
-# allocating over 10% more per op than its baseline fails. Allocs/op are
-# deterministic; time is reported but not gated. Refresh a baseline after
-# an intended change with:
+# profile-gate holds BAD's and the search's allocations per op to the
+# committed baselines in bench/baseline/ (chop profile -short -json
+# reports): a workload allocating over 10% more per op than its baseline
+# fails. Allocs/op are deterministic; time is reported but not gated.
+# Refresh a baseline after an intended change with:
 #   go run ./cmd/chop profile -short -json -workload exp2/counts > bench/baseline/exp2/counts.json
 profile-gate:
-	@for w in exp1/counts exp2/counts; do \
+	@for w in exp1/counts exp2/counts search/stress/w1; do \
 		$(GO) run ./cmd/chop profile -short -workload $$w \
 			-compare bench/baseline/$$w.json -alloc-tolerance 10 || exit 1; \
 	done

@@ -360,17 +360,17 @@ func newIntegrator(p *Partitioning, cfg Config) (*integrator, error) {
 }
 
 // trialScratch is the reusable per-trial state of one integrator, owned by
-// one shard (or one DebugIntegrator): transfer bus widths and durations,
-// the urgency inputs and scheduler, and two frames of design slices — the
-// wide-bus attempt's and the narrow-bus retry's (see integrate).
+// one shard (or one DebugIntegrator): the signature memo, the urgency
+// inputs and scheduler, and two frames of design slices — the wide-bus
+// attempt's and the narrow-bus retry's (see integrate).
 type trialScratch struct {
-	// dur and width are the urgency durations and widths in graph order;
-	// xferMain and pins are their transfer-task tails.
-	dur, width     []int
-	xferMain, pins []int
-	sched          *urgency.Scheduler
-	payload        []int // per chip: widest transfer bus
-	frames         [2]designFrame
+	memo *sigMemo
+	// key is the trial's timing signature (see sigEntry.key).
+	key []int
+	// dur and width are the urgency durations and widths in graph order.
+	dur, width []int
+	sched      *urgency.Scheduler
+	frames     [2]designFrame
 }
 
 // designFrame holds one integrated design and backs its slices until the
@@ -386,8 +386,10 @@ type designFrame struct {
 
 func (it *integrator) newScratch() *trialScratch {
 	nT, nC, nP := len(it.tasks), len(it.p.Chips.Chips), len(it.p.Parts)
-	sc := &trialScratch{dur: make([]int, nP+nT), width: make([]int, nP+nT), payload: make([]int, nC)}
-	sc.xferMain, sc.pins = sc.dur[nP:], sc.width[nP:]
+	sc := &trialScratch{
+		memo: newMemo(nP, nT, nC), key: make([]int, 2+nP),
+		dur: make([]int, nP+nT), width: make([]int, nP+nT),
+	}
 	// A partition holds one port of each memory block it accesses.
 	for pi := 0; pi < nP; pi++ {
 		sc.width[pi] = 1
@@ -396,13 +398,31 @@ func (it *integrator) newScratch() *trialScratch {
 		sc.sched = urgency.NewScheduler(it.graph)
 	}
 	for f := range sc.frames {
-		sc.frames[f] = designFrame{
+		fr := designFrame{
 			schedule: make([]TaskSpan, nP+nT), modules: make([]xfer.Module, nT),
 			chipArea: make([]stats.Triplet, nC), chipPins: make([]int, nC),
 			areaViol: make([]int, 0, nC),
 		}
+		// Names, chip lists and tasks are the integrator's; a trial writes
+		// only the numbers.
+		for i := 0; it.graph != nil && i < len(fr.schedule); i++ {
+			fr.schedule[i].Name = it.graph.Name(i)
+			if i >= nP {
+				fr.schedule[i].Chips = it.chips[i-nP]
+			}
+		}
+		for i := range fr.modules {
+			fr.modules[i].Task = it.tasks[i]
+		}
+		sc.frames[f] = fr
 	}
 	return sc
+}
+
+// release recycles the scratch's memo; sc must not be used afterwards.
+func (sc *trialScratch) release() {
+	sc.memo.release()
+	sc.memo = nil
 }
 
 // selectionOK checks the data-rate rules for one partition design at system
@@ -503,13 +523,14 @@ func (it *integrator) integrate(sc *trialScratch, choice []bad.Design, l int, ph
 }
 
 // integrateBus is integrate at a fixed bus-width cap (0 = maximum possible
-// bandwidth), building the design in frame f. ph brackets the
-// schedule and xfer sections; a rejection inside a bracketed section
-// abandons the bracket, so its time falls into the trial's integrate
-// remainder instead (see PhaseHandle.EndTrial).
+// bandwidth), building the design in frame f. Everything up to the
+// choice-dependent tail comes from the trial's timing signature (bus cap,
+// l, partition latencies) through the shard's memo; a signature met for the
+// first time is solved there (solveSignature). ph brackets the schedule
+// and xfer sections of a solve.
 func (it *integrator) integrateBus(sc *trialScratch, f *designFrame, choice []bad.Design, l, busCap int,
 	ph *obs.PhaseHandle) (*GlobalDesign, error) {
-	p, cfg := it.p, it.cfg
+	p, cfg := it.p, &it.cfg
 	g := &f.g
 	*g = GlobalDesign{Choice: choice, IIMain: l, ReasonChip: -1}
 	if len(choice) != len(p.Parts) {
@@ -520,128 +541,43 @@ func (it *integrator) integrateBus(sc *trialScratch, f *designFrame, choice []ba
 			return g.reject(ReasonRateMismatch, -1, rejection{n: [4]int{pi + 1, d.IIMainCycles(cfg.Clocks), l}}), nil
 		}
 	}
-
-	// ---- transfer bandwidth and duration ----
-	// The available bandwidth is the minimum pin budget over the involved
-	// chips (paper 2.5), optionally capped at busCap; a capped bus widens
-	// again only when the data-clash bound (X <= l) demands it, and any bus
-	// narrows to the fewest pins sustaining its transfer time so pads are
-	// not wasted.
-	xtok := ph.Begin()
-	for i := range it.tasks {
-		t := &it.tasks[i]
-		bwMax := it.bwMax[i]
-		if bwMax <= 0 && t.Bits > 0 {
-			return g.reject(ReasonNoPins, -1, rejection{name: t.Name}), nil
-		}
-		bus := bwMax
-		if busCap > 0 && busCap < bus {
-			bus = busCap
-		}
-		x := xfer.TransferCycles(t.Bits, bus)
-		xm := x * cfg.Clocks.TransferMult
-		if xm > l {
-			// Too slow at the natural bus width: widen to meet the clash
-			// bound if the chips have the pins for it.
-			maxXfer := max(1, l/cfg.Clocks.TransferMult)
-			need := (t.Bits + maxXfer - 1) / maxXfer
-			if need > bwMax {
-				// Data clash: a transfer longer than the initiation
-				// interval collides with the next sample (paper 2.5).
-				return g.reject(ReasonDataClash, -1, rejection{name: t.Name, n: [4]int{xm, l}}), nil
-			}
-			bus = need
-			x = xfer.TransferCycles(t.Bits, bus)
-			xm = x * cfg.Clocks.TransferMult
-		}
-		pins := bus
-		if x > 0 {
-			pins = (t.Bits + x - 1) / x
-		}
-		sc.pins[i], sc.xferMain[i] = pins, xm
+	sc.key[0], sc.key[1] = busCap, l
+	for pi := range choice {
+		sc.key[2+pi] = choice[pi].LatencyMainCycles(cfg.Clocks)
 	}
-	ph.End(xtok, obs.PhaseXfer)
-	// Steady-state pin capacity per chip: the pin-cycles demanded per
-	// interval must fit the budget.
-	for ci, xs := range it.chipXfers {
-		demand := 0
-		for _, i := range xs {
-			demand += sc.pins[i] * sc.xferMain[i]
-		}
-		if demand > it.budget[ci]*l {
-			return g.reject(ReasonPinBandwidth, ci, rejection{n: [4]int{ci + 1, demand, it.budget[ci], l}}), nil
-		}
+	m := sc.memo
+	k, hit := m.lookup(sc.key)
+	e := m.entry(k)
+	h := &m.heads[k]
+	if !hit {
+		it.solveSignature(sc, h, e, ph)
 	}
-	// ---- memory bandwidth ----
-	for bi, bits := range it.memBits {
-		if bits == 0 {
-			continue
-		}
-		if capacity := it.memBW[bi] * l; bits > capacity {
-			return g.reject(ReasonMemBandwidth, -1,
-				rejection{name: p.Mem.Blocks[bi].Name, n: [4]int{bits, capacity}}), nil
-		}
+	if h.code != ReasonNone {
+		return g.reject(h.code, h.chip, it.rejectionOf(h, m)), nil
 	}
-
-	// ---- urgency scheduling over shared pins and memory ports ----
-	if it.graphErr != nil {
-		return g.reject(ReasonSchedule, -1, rejection{err: it.graphErr}), nil
+	if mt := cfg.Metrics; mt != nil {
+		mt.Observe("core.urgency_tasks", float64(h.sched.Tasks))
+		mt.Observe("core.urgency_cycles", float64(h.sched.Cycles))
 	}
 	nP := len(p.Parts)
-	for pi := range choice {
-		sc.dur[pi] = choice[pi].LatencyMainCycles(cfg.Clocks)
-	}
-	stok := ph.Begin()
-	sres, sstats, err := sc.sched.Run(sc.dur, sc.width)
-	ph.End(stok, obs.PhaseSchedule)
-	if err != nil {
-		return g.reject(ReasonSchedule, -1, rejection{err: err}), nil
-	}
-	if m := cfg.Metrics; m != nil {
-		m.Observe("core.urgency_tasks", float64(sstats.Tasks))
-		m.Observe("core.urgency_cycles", float64(sstats.Cycles))
-	}
-	g.DelayMain = sres.Makespan
+	g.DelayMain = h.sched.Makespan
 	g.Schedule = f.schedule
-	for i := range g.Schedule {
-		g.Schedule[i] = TaskSpan{Name: it.graph.Name(i), Start: sres.Start[i], Dur: sc.dur[i]}
-		if i >= nP {
-			g.Schedule[i].Chips = it.chips[i-nP]
-		}
+	for pi, start := range e.starts {
+		s := &g.Schedule[pi]
+		s.Start, s.Dur = start, e.key[2+pi]
 	}
-
-	// ---- transfer modules (buffer sizing from wait + transfer times) ----
-	xtok = ph.Begin()
 	g.Modules = f.modules
-	maxModCtrl := stats.Triplet{}
-	for i := range it.tasks {
-		t := &it.tasks[i]
-		xm := sc.xferMain[i]
-		ready := 0
-		if t.FromPart != xfer.External {
-			ready = sres.Start[t.FromPart] + sc.dur[t.FromPart]
-		}
-		startT := sres.Start[nP+i]
-		finishT := startT + xm
-		destStart := finishT
-		if t.ToPart != xfer.External {
-			destStart = sres.Start[t.ToPart]
-		}
-		wait := max(0, (startT-ready)+(destStart-finishT))
-		g.Modules[i] = xfer.PredictModule(*t, wait, xm, sc.pins[i], l, cfg.Lib)
-		maxModCtrl = maxModCtrl.Max(g.Modules[i].CtrlDelay)
+	for i := range e.xfers {
+		x, s, mod := &e.xfers[i], &g.Schedule[nP+i], &g.Modules[i]
+		s.Start, s.Dur = x.start, x.xferMain
+		mod.Wait, mod.Transfer, mod.BufferBits, mod.Pins = x.wait, x.xferMain, x.buf, x.pins
+		mod.Area, mod.CtrlDelay = x.area, x.ctrl
 	}
-	ph.End(xtok, obs.PhaseXfer)
 
 	// ---- per-chip area and pins ----
 	g.ChipArea, g.ChipPins = f.chipArea, f.chipPins
-	clear(g.ChipArea)
-	clear(sc.payload)
-	for i, chips := range it.chips {
-		for _, c := range chips {
-			g.ChipArea[c] = g.ChipArea[c].Add(g.Modules[i].Area)
-			sc.payload[c] = max(sc.payload[c], sc.pins[i])
-		}
+	for ci := range e.chips {
+		g.ChipArea[ci] = e.chips[ci].modArea
 	}
 	for pi := range choice {
 		ci := p.PartChip[pi]
@@ -650,7 +586,7 @@ func (it *integrator) integrateBus(sc *trialScratch, f *designFrame, choice []ba
 	for ci := range p.Chips.Chips {
 		ch := &p.Chips.Chips[ci]
 		g.ChipArea[ci] = g.ChipArea[ci].Add(stats.Exact(it.memArea[ci]))
-		g.ChipPins[ci] = ch.ReservedPins + it.ctrlPins[ci] + it.memPins[ci] + sc.payload[ci]
+		g.ChipPins[ci] = ch.ReservedPins + it.ctrlPins[ci] + it.memPins[ci] + e.chips[ci].payload
 	}
 
 	// ---- clock adjustment ----
@@ -662,7 +598,7 @@ func (it *integrator) integrateBus(sc *trialScratch, f *designFrame, choice []ba
 	// Off-chip flight time must fit inside one transfer cycle: two pad
 	// delays plus the transfer controller and pin mux.
 	if len(it.tasks) > 0 {
-		flight := stats.Sum(stats.Exact(2*it.maxPad), maxModCtrl, stats.Exact(cfg.Lib.Mux.Delay))
+		flight := stats.Sum(stats.Exact(2*it.maxPad), h.maxCtrl, stats.Exact(cfg.Lib.Mux.Delay))
 		clock = clock.Max(flight.Scale(1 / float64(cfg.Clocks.TransferMult)))
 	}
 	g.Clock = clock
@@ -714,6 +650,145 @@ func (it *integrator) integrateBus(sc *trialScratch, f *designFrame, choice []ba
 	}
 	g.Feasible = true
 	return g, nil
+}
+
+// solveSignature fills memo entry (h, e) for the signature in e.key: the
+// transfer stage, the urgency schedule and the transfer modules, or the
+// first of their checks that rejects it. A rejection inside a bracketed
+// section abandons the bracket, so its time falls into the trial's
+// integrate remainder instead (see PhaseHandle.EndTrial).
+func (it *integrator) solveSignature(sc *trialScratch, h *sigHead, e sigEntry, ph *obs.PhaseHandle) {
+	cfg := &it.cfg
+	busCap, l := e.key[0], e.key[1]
+	early := func(code Reason, chip, ref int, n [4]int) {
+		h.code, h.chip, h.ref, h.n = code, chip, ref, n
+	}
+
+	// ---- transfer bandwidth and duration ----
+	// The available bandwidth is the minimum pin budget over the involved
+	// chips (paper 2.5), optionally capped at busCap; a capped bus widens
+	// again only when the data-clash bound (X <= l) demands it, and any bus
+	// narrows to the fewest pins sustaining its transfer time so pads are
+	// not wasted.
+	xtok := ph.Begin()
+	for i := range it.tasks {
+		t := &it.tasks[i]
+		bwMax := it.bwMax[i]
+		if bwMax <= 0 && t.Bits > 0 {
+			early(ReasonNoPins, -1, i, [4]int{})
+			return
+		}
+		bus := bwMax
+		if busCap > 0 && busCap < bus {
+			bus = busCap
+		}
+		x := xfer.TransferCycles(t.Bits, bus)
+		xm := x * cfg.Clocks.TransferMult
+		if xm > l {
+			// Too slow at the natural bus width: widen to meet the clash
+			// bound if the chips have the pins for it.
+			maxXfer := max(1, l/cfg.Clocks.TransferMult)
+			need := (t.Bits + maxXfer - 1) / maxXfer
+			if need > bwMax {
+				// Data clash: a transfer longer than the initiation
+				// interval collides with the next sample (paper 2.5).
+				early(ReasonDataClash, -1, i, [4]int{xm, l})
+				return
+			}
+			bus = need
+			x = xfer.TransferCycles(t.Bits, bus)
+			xm = x * cfg.Clocks.TransferMult
+		}
+		pins := bus
+		if x > 0 {
+			pins = (t.Bits + x - 1) / x
+		}
+		e.xfers[i].pins, e.xfers[i].xferMain = pins, xm
+	}
+	ph.End(xtok, obs.PhaseXfer)
+	// Steady-state pin capacity per chip: the pin-cycles demanded per
+	// interval must fit the budget.
+	for ci, xs := range it.chipXfers {
+		demand := 0
+		for _, i := range xs {
+			demand += e.xfers[i].pins * e.xfers[i].xferMain
+		}
+		if demand > it.budget[ci]*l {
+			early(ReasonPinBandwidth, ci, 0, [4]int{ci + 1, demand, it.budget[ci], l})
+			return
+		}
+	}
+	// ---- memory bandwidth ----
+	for bi, bits := range it.memBits {
+		if bits == 0 {
+			continue
+		}
+		if capacity := it.memBW[bi] * l; bits > capacity {
+			early(ReasonMemBandwidth, -1, bi, [4]int{bits, capacity})
+			return
+		}
+	}
+
+	// ---- urgency scheduling over shared pins and memory ports ----
+	if it.graphErr != nil {
+		early(ReasonSchedule, -1, sc.memo.addErr(it.graphErr), [4]int{})
+		return
+	}
+	nP := len(it.p.Parts)
+	copy(sc.dur, e.key[2:])
+	for i := range e.xfers {
+		sc.dur[nP+i], sc.width[nP+i] = e.xfers[i].xferMain, e.xfers[i].pins
+	}
+	stok := ph.Begin()
+	sres, sstats, err := sc.sched.Run(sc.dur, sc.width)
+	ph.End(stok, obs.PhaseSchedule)
+	if err != nil {
+		early(ReasonSchedule, -1, sc.memo.addErr(err), [4]int{})
+		return
+	}
+	h.sched = sstats
+	copy(e.starts, sres.Start)
+
+	// ---- transfer modules (buffer sizing from wait + transfer times) ----
+	xtok = ph.Begin()
+	for i := range it.tasks {
+		t, x := &it.tasks[i], &e.xfers[i]
+		xm := x.xferMain
+		ready := 0
+		if t.FromPart != xfer.External {
+			ready = sres.Start[t.FromPart] + sc.dur[t.FromPart]
+		}
+		startT := sres.Start[nP+i]
+		finishT := startT + xm
+		destStart := finishT
+		if t.ToPart != xfer.External {
+			destStart = sres.Start[t.ToPart]
+		}
+		wait := max(0, (startT-ready)+(destStart-finishT))
+		mod := xfer.PredictModule(*t, wait, xm, x.pins, l, cfg.Lib)
+		x.start, x.wait, x.buf, x.area, x.ctrl = startT, wait, mod.BufferBits, mod.Area, mod.CtrlDelay
+		h.maxCtrl = h.maxCtrl.Max(mod.CtrlDelay)
+		for _, c := range it.chips[i] {
+			e.chips[c].modArea = e.chips[c].modArea.Add(mod.Area)
+			e.chips[c].payload = max(e.chips[c].payload, x.pins)
+		}
+	}
+	ph.End(xtok, obs.PhaseXfer)
+}
+
+// rejectionOf rebuilds the rejection arguments of an entry's early verdict
+// from its subject index.
+func (it *integrator) rejectionOf(h *sigHead, m *sigMemo) rejection {
+	r := rejection{n: h.n}
+	switch h.code {
+	case ReasonNoPins, ReasonDataClash:
+		r.name = it.tasks[h.ref].Name
+	case ReasonMemBandwidth:
+		r.name = it.p.Mem.Blocks[h.ref].Name
+	case ReasonSchedule:
+		r.err = m.errs[h.ref]
+	}
+	return r
 }
 
 // memResourceBase offsets the memory-port resource IDs past any real chip

@@ -313,7 +313,7 @@ func (c Config) searchWorkers() int {
 
 // canceled returns the wrapped context error once Config.Ctx is done, nil
 // while the run may continue. The happy path is one atomic load.
-func (c Config) canceled() error {
+func (c *Config) canceled() error {
 	if c.Ctx == nil {
 		return nil
 	}

@@ -161,6 +161,7 @@ func (e *engine) drain(order []int, outs []shardOut, into *SearchResult) {
 		tok := ph.Begin()
 		s := &shard{engine: e, sc: e.it.newScratch(),
 			idx: make([]int, len(e.lists)), choice: make([]bad.Design, len(e.lists))}
+		defer s.sc.release()
 		ph.End(tok, obs.PhaseCompile)
 		for {
 			k := int(cursor.Add(1)) - 1

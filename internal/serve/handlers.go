@@ -115,7 +115,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case req.TimeoutSec < 0:
 		opts.Timeout = -1 // explicitly unbounded
 	}
-	run, err := s.reg.SubmitWith(req.Kind, req.Spec, opts)
+	run, accepted, err := s.reg.submit(req.Kind, req.Spec, opts)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrBadKey):
@@ -141,7 +141,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/api/v1/runs/"+run.ID())
-	writeJSON(w, http.StatusAccepted, run.Status(false))
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

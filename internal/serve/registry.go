@@ -451,18 +451,27 @@ func (r *Registry) Submit(kind string, spec json.RawMessage) (*Run, error) {
 // depth). Every rejection increments its serve.admission.rejected.*
 // counter so backpressure is observable per reason.
 func (r *Registry) SubmitWith(kind string, spec json.RawMessage, opts SubmitOptions) (*Run, error) {
+	run, _, err := r.submit(kind, spec, opts)
+	return run, err
+}
+
+// submit is SubmitWith that also returns the run's status as accepted:
+// the snapshot taken under the registry lock before the run is queued, so
+// it reads StateQueued even when a worker starts the run before the caller
+// looks at it.
+func (r *Registry) submit(kind string, spec json.RawMessage, opts SubmitOptions) (*Run, RunStatus, error) {
 	job, ok := r.jobs[kind]
 	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownKind, kind)
+		return nil, RunStatus{}, fmt.Errorf("%w %q", ErrUnknownKind, kind)
 	}
 	if job.Validate != nil {
 		if err := job.Validate(spec); err != nil {
-			return nil, err
+			return nil, RunStatus{}, err
 		}
 	}
 	checkpoint, err := r.resolveCheckpoint(opts.Checkpoint)
 	if err != nil {
-		return nil, err
+		return nil, RunStatus{}, err
 	}
 	tenant, priority, err := r.adm.admit(opts.APIKey)
 	if err != nil {
@@ -474,17 +483,17 @@ func (r *Registry) SubmitWith(kind string, spec json.RawMessage, opts SubmitOpti
 		case errors.Is(err, ErrOverQuota):
 			r.metrics.Inc("serve.admission.rejected.over_quota")
 		}
-		return nil, err
+		return nil, RunStatus{}, err
 	}
 	// From here on the tenant holds one queued reservation; every failure
 	// path must return it.
-	reject := func(counter string, err error) (*Run, error) {
+	reject := func(counter string, err error) (*Run, RunStatus, error) {
 		r.adm.unqueue(tenant)
 		r.metrics.Inc("serve.runs.rejected")
 		if counter != "" {
 			r.metrics.Inc(counter)
 		}
-		return nil, err
+		return nil, RunStatus{}, err
 	}
 	if r.draining.Load() {
 		return reject("", ErrDraining)
@@ -533,6 +542,7 @@ func (r *Registry) SubmitWith(kind string, spec json.RawMessage, opts SubmitOpti
 	// breakdown from the first trial on.
 	run.phases = obs.NewPhaseAccounter()
 	run.stats.AttachPhases(run.phases)
+	accepted := run.Status(false)
 	r.enqueueLocked(run)
 	r.runs[run.id] = run
 	r.order = append(r.order, run.id)
@@ -543,7 +553,7 @@ func (r *Registry) SubmitWith(kind string, spec json.RawMessage, opts SubmitOpti
 	r.metrics.Inc("serve.admission.admitted")
 	r.log.Info("run submitted", "run", run.id, "kind", kind, "tenant", tenant,
 		"priority", priority, "trace_id", run.trace.TraceID, "queue", queued)
-	return run, nil
+	return run, accepted, nil
 }
 
 // enqueueLocked inserts the run into pending, keeping the dispatch order:

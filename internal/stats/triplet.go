@@ -73,10 +73,23 @@ func (t Triplet) Scale(k float64) Triplet {
 // of parallel branches joining (both must finish).
 func (t Triplet) Max(u Triplet) Triplet {
 	return Triplet{
-		Lo: math.Max(t.Lo, u.Lo),
-		ML: math.Max(t.ML, u.ML),
-		Hi: math.Max(t.Hi, u.Hi),
+		Lo: fmax(t.Lo, u.Lo),
+		ML: fmax(t.ML, u.ML),
+		Hi: fmax(t.Hi, u.Hi),
 	}
+}
+
+// fmax is math.Max with an inlined fast path for ordered operands; ties
+// (including signed zeros) and NaNs take math.Max, so the result is the
+// same bit for bit. The integrator takes this maximum on every trial.
+func fmax(x, y float64) float64 {
+	switch {
+	case x > y:
+		return x
+	case y > x:
+		return y
+	}
+	return math.Max(x, y)
 }
 
 // Min returns the part-wise minimum of two triplets.

@@ -95,6 +95,17 @@ func TestMaxMin(t *testing.T) {
 	if got := a.Min(b); got != (Triplet{1, 4, 9}) {
 		t.Fatalf("Min = %v", got)
 	}
+	// Max agrees with math.Max bit for bit on the special values.
+	special := []float64{math.Copysign(0, -1), 0, 1, -1, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, x := range special {
+		for _, y := range special {
+			got := Exact(x).Max(Exact(y)).ML
+			if want := math.Max(x, y); math.Float64bits(got) != math.Float64bits(want) &&
+				!(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("Max(%v, %v) = %v, math.Max gives %v", x, y, got, want)
+			}
+		}
+	}
 }
 
 func TestSumMaxOf(t *testing.T) {

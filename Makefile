@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-stats-gate profile-smoke profile-gate gobench fuzz chaos trace-smoke loadgen-smoke dist-smoke cover serve ci
+.PHONY: all build vet lint test race bench bench-stats-gate profile-smoke profile-gate gobench fuzz chaos trace-smoke cover serve ci
 
 all: build
 
@@ -66,14 +66,20 @@ gobench:
 
 # fuzz smoke-tests the predictor-cache content key (determinism,
 # rename-insensitivity, mutation-sensitivity, no panics), the compiled
-# urgency scheduler against its cycle-stepping referee, and BAD's compiled
-# list and modulo schedulers against their map-based referees, FUZZTIME
-# each.
+# urgency scheduler against its cycle-stepping referee, BAD's compiled
+# list and modulo schedulers against their map-based referees, and the
+# serve plane's untrusted decoders — spec JSON (parse-time bounds), the
+# traceparent header (round trip) and search checkpoints (a garbled file
+# falls back to a fresh search) — FUZZTIME each. The decoder targets skip
+# their packages' unit tests (-run '^$$'); `make test` runs those.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz=FuzzPredictCacheKey -fuzztime=$(FUZZTIME) ./internal/bad
 	$(GO) test -fuzz=FuzzScheduleMatchesReference -fuzztime=$(FUZZTIME) ./internal/urgency
 	$(GO) test -fuzz=FuzzListScheduleMatchesReference -fuzztime=$(FUZZTIME) ./internal/sched
+	$(GO) test -run='^$$' -fuzz=FuzzSpecParse -fuzztime=$(FUZZTIME) ./internal/spec
+	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=$(FUZZTIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRestore -fuzztime=$(FUZZTIME) ./internal/core
 
 # chaos runs the fault-injected service-plane smoke: an in-process server
 # with ~10% injected job faults under random submissions and cancels,
@@ -92,28 +98,6 @@ chaos:
 TRACE_SMOKE_DIR ?= trace-smoke
 trace-smoke:
 	TRACE_SMOKE_DIR=$(TRACE_SMOKE_DIR) ./scripts/trace-smoke.sh
-
-# loadgen-smoke drives the SLO harness against a real admission-controlled
-# chop serve process (API keys, quotas, rate limits) at low RPS, gates the
-# resulting loadgen.json (p99 latency + goroutine/FD leak budgets), and
-# checks that a wrong API key buckets under bad-key. Gate a change against
-# a saved baseline with:
-#   go run ./cmd/chop loadgen -compare loadgen-smoke/loadgen.json
-LOADGEN_SECS ?= 10
-LOADGEN_DIR ?= loadgen-smoke
-loadgen-smoke:
-	LOADGEN_DIR=$(LOADGEN_DIR) LOADGEN_SECS=$(LOADGEN_SECS) ./scripts/loadgen-smoke.sh
-
-# dist-smoke runs the fault-tolerant distributed search across real
-# processes: a coordinator and two chop serve workers, one stalled by
-# fault injection and SIGKILLed mid-search. Gates on lease recovery
-# (shards reassigned to the survivor) and on the merged result staying
-# byte-identical to a serial run, for both heuristics; then stitches a
-# clean traced run with chop trace -fail-on-orphans and exports
-# DIST_SMOKE_DIR/perfetto.json.
-DIST_SMOKE_DIR ?= dist-smoke
-dist-smoke:
-	DIST_SMOKE_DIR=$(DIST_SMOKE_DIR) ./scripts/dist-smoke.sh
 
 # cover writes coverage.out plus a browsable HTML report.
 cover:

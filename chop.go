@@ -46,7 +46,6 @@ import (
 	"chop/internal/core"
 	"chop/internal/cosim"
 	"chop/internal/dfg"
-	"chop/internal/dist"
 	"chop/internal/hlspec"
 	"chop/internal/kl"
 	"chop/internal/lib"
@@ -494,45 +493,8 @@ var (
 	// NewServer builds the service plane and starts its worker pool.
 	NewServer = serve.New
 	// DefaultServeJobs is the built-in run-kind table: eval, synth, exp1,
-	// exp2, shard.
+	// exp2.
 	DefaultServeJobs = serve.DefaultJobs
-)
-
-// Distributed search (package dist): a lease-based shard coordinator that
-// farms one planned search across a fleet of serve workers and merges the
-// results byte-identically to a serial run, through worker failures,
-// stragglers (epoch-fenced reassignment, work stealing) and coordinator
-// restarts (signed checkpoints). `chop search -distributed` is the CLI
-// front end.
-type (
-	// DistOptions configures a DistCoordinator: the fleet, lease timing
-	// (TTL, hard cap, steal threshold), shard geometry, checkpointing and
-	// observability hooks.
-	DistOptions = dist.Options
-	// DistCoordinator drives one distributed search; build with
-	// NewDistCoordinator, execute with Run.
-	DistCoordinator = dist.Coordinator
-	// ShardPlan is the deterministic shard decomposition of one search,
-	// signed so coordinator and workers can prove they agree.
-	ShardPlan = core.ShardPlan
-	// ShardRequest / ShardResponse are the serve "shard" job's wire forms.
-	ShardRequest  = serve.ShardRequest
-	ShardResponse = serve.ShardResponse
-)
-
-var (
-	// NewDistCoordinator parses a spec (the same JSON chop eval takes) and
-	// validates the fleet configuration.
-	NewDistCoordinator = dist.New
-	// PlanShards computes the signed shard decomposition a coordinator
-	// and its workers must agree on.
-	PlanShards = core.PlanShards
-	// SearchShards executes a subset of a plan's shards locally, taking
-	// the plan PlanShards returned.
-	SearchShards = core.SearchShards
-	// MergeShardResults folds per-shard results in visit order into the
-	// merged SearchResult.
-	MergeShardResults = core.MergeShardResults
 )
 
 // Benchmark harness types (package benchkit). `chop bench` is the CLI

@@ -9,7 +9,7 @@
 //	chop graph [-g name]   print a benchmark data-flow graph (Fig. 6 class)
 //	chop spec              print an example partitioning spec (JSON)
 //	chop eval -f spec.json evaluate a partitioning spec
-//	chop search -f spec.json  run the search; -distributed farms shards to a serve fleet
+//	chop search -f spec.json  run the search and print or emit (-json) the merged result
 //	chop advise -f spec.json  interactive advisor session (commands on stdin)
 //	chop explain -f trace.jsonl  replay a -trace file into a readable report
 //	chop trace a.jsonl b.jsonl   stitch multi-process traces into one tree (-o perfetto exports for ui.perfetto.dev)
@@ -17,7 +17,6 @@
 //	chop bench             run the performance harness, emit/compare BENCH JSON
 //	chop profile           profile a workload with per-phase attribution, diff against a baseline
 //	chop serve             start the HTTP service plane (runs, SSE traces, /metrics)
-//	chop loadgen           drive a live serve instance at a target RPS, gate SLOs vs a baseline
 //	chop top               live terminal dashboard over a serve instance or a -stats-out file
 //	chop version           print the binary's build identity
 //
@@ -98,8 +97,6 @@ func main() {
 		err = accuracy()
 	case "serve":
 		err = serveCmd(os.Args[2:])
-	case "loadgen":
-		err = loadgenCmd(os.Args[2:])
 	case "top":
 		err = top(os.Args[2:])
 	case "version":
@@ -127,11 +124,7 @@ func usage() {
   spec                 print an example partitioning spec (JSON)
   eval -f spec.json    evaluate a partitioning spec
   search -f spec.json  run the design-space search and print/emit the merged
-                       result (-json); -distributed -workers-url a,b farms
-                       shards out to a chop serve fleet with lease-based
-                       fault tolerance (-lease, -max-lease, -steal-after,
-                       -shards, -max-lease-shards, -drain-grace, -poll,
-                       -api-key) — byte-identical to the local run
+                       result (-json)
   advise -f spec.json  interactive advisor session (commands on stdin)
   explain -f trace.jsonl  replay a trace into a per-stage time and rejection report
                        (-stats prints the search-statistics report instead)
@@ -156,16 +149,7 @@ func usage() {
                        -queue, -ring, -grace, -predict-cache, -job-timeout,
                        -checkpoint-dir, -inject, -log-level, -log-json); submit
                        runs on POST /api/v1/runs, stream traces on
-                       /api/v1/runs/{id}/events, scrape /metrics; -api-keys
-                       file.json turns on multi-tenant admission control
-                       (quotas, submit rates, priority preemption)
-  loadgen              drive a live serve instance with a submit/stream/cancel
-                       mix at a target rate (-addr, -rps, -duration, -stream,
-                       -cancel, -subs, -api-key), measure p50/p95/p99 submit
-                       and TTFB latency plus goroutine/FD stability, write
-                       loadgen.json; -compare baseline.json gates the SLOs
-                       (p99 growth beyond -tolerance, leaks beyond
-                       -leak-tolerance exit non-zero)
+                       /api/v1/runs/{id}/events, scrape /metrics
   top                  live terminal dashboard: poll a serve instance
                        (-addr, optionally -run id) or tail a -stats-out file
                        (-f stats.jsonl); -once renders a single frame

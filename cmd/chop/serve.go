@@ -59,7 +59,6 @@ func serveCmd(args []string) error {
 	predictCache := fs.Int("predict-cache", 0, "server-wide BAD prediction cache entries (0 = default capacity, negative = disabled)")
 	jobTimeout := fs.Duration("job-timeout", 0, "default per-run wall-clock deadline; runs exceeding it are marked failed (0 = unbounded, overridable per submission via timeoutSec)")
 	checkpointDir := fs.String("checkpoint-dir", "", "directory for search checkpoints named by submissions (empty = checkpointing disabled)")
-	apiKeys := fs.String("api-keys", "", "tenant keyfile ({\"tenants\": [...]} JSON) enabling multi-tenant admission control; empty keeps the server open-access")
 	injectSpec := fs.String("inject", "", "fault-injection spec for chaos testing (default: $"+resilience.EnvFaultInject+")")
 	traceFile := fs.String("trace", "", "record the server's side of every sampled distributed trace (HTTP spans + job runs) as JSONL to this file; stitch with 'chop trace'")
 	traceSample := fs.Float64("trace-sample", 0, "head-sampling rate for traces the server roots itself (0 = record all, 0<r<1 = that fraction, negative = none; caller traceparents and error responses always win)")
@@ -90,13 +89,6 @@ func serveCmd(args []string) error {
 			return fmt.Errorf("-checkpoint-dir: %w", err)
 		}
 	}
-	var tenants []serve.TenantConfig
-	if *apiKeys != "" {
-		if tenants, err = serve.LoadTenants(*apiKeys); err != nil {
-			return fmt.Errorf("-api-keys: %w", err)
-		}
-		log.Info("admission control ACTIVE", "tenants", len(tenants))
-	}
 
 	// The trace file outlives ListenAndServe so a SIGTERM'd server still
 	// flushes its buffered JSONL before exiting.
@@ -125,7 +117,6 @@ func serveCmd(args []string) error {
 		PredictCache:      *predictCache,
 		DefaultJobTimeout: *jobTimeout,
 		CheckpointDir:     *checkpointDir,
-		Tenants:           tenants,
 		Inject:            inject,
 		TraceSink:         sinkOrNil(traceSink),
 		TraceSampleRate:   *traceSample,

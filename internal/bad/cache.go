@@ -47,9 +47,11 @@ func NewPredictCache(capacity int) *PredictCache {
 		capacity = defaultCacheCapacity
 	}
 	return &PredictCache{
-		cap:     capacity,
-		order:   list.New(),
-		entries: make(map[string]*list.Element, capacity),
+		cap:   capacity,
+		order: list.New(),
+		// The map grows on demand: a large requested capacity bounds the
+		// LRU, it does not preallocate it.
+		entries: make(map[string]*list.Element, min(capacity, defaultCacheCapacity)),
 	}
 }
 

@@ -200,3 +200,29 @@ func TestNextPath(t *testing.T) {
 		t.Fatalf("next slot = %q, %v", p3, err)
 	}
 }
+
+// TestGateRule pins the one regression rule CompareWith and
+// CompareProfiles share: growth at or past a positive tolerance regresses,
+// a non-positive tolerance only reports, and a non-positive baseline has
+// nothing to grow from.
+func TestGateRule(t *testing.T) {
+	for _, c := range []struct {
+		old, cur, tol float64
+		pct           float64
+		regressed     bool
+	}{
+		{100, 110, 10, 10, true},
+		{100, 109, 10, 9, false},
+		{100, 150, 0, 50, false},
+		{100, 150, -1, 50, false},
+		{100, 80, 10, -20, false},
+		{0, 50, 10, 0, false},
+		{-1, 50, 10, 0, false},
+	} {
+		pct, regressed := gate(c.old, c.cur, c.tol)
+		if pct != c.pct || regressed != c.regressed {
+			t.Errorf("gate(%v, %v, %v) = (%v, %v), want (%v, %v)",
+				c.old, c.cur, c.tol, pct, regressed, c.pct, c.regressed)
+		}
+	}
+}

@@ -60,23 +60,27 @@ func CompareWith(old, cur *Report, tol Tolerances) ([]Delta, bool) {
 			Name:      w.Name,
 			OldNs:     o.NsPerOp,
 			NewNs:     w.NsPerOp,
-			Pct:       (w.NsPerOp - o.NsPerOp) / o.NsPerOp * 100,
 			OldAllocs: o.AllocsPerOp,
 			NewAllocs: w.AllocsPerOp,
 		}
-		if tol.TimePct > 0 {
-			d.Regression = d.Pct >= tol.TimePct
-		}
-		if o.AllocsPerOp > 0 {
-			d.AllocPct = (w.AllocsPerOp - o.AllocsPerOp) / o.AllocsPerOp * 100
-			if tol.AllocPct > 0 {
-				d.AllocRegression = d.AllocPct >= tol.AllocPct
-			}
-		}
+		d.Pct, d.Regression = gate(o.NsPerOp, w.NsPerOp, tol.TimePct)
+		d.AllocPct, d.AllocRegression = gate(o.AllocsPerOp, w.AllocsPerOp, tol.AllocPct)
 		regressed = regressed || d.Regression || d.AllocRegression
 		deltas = append(deltas, d)
 	}
 	return deltas, regressed
+}
+
+// gate is the one regression rule every comparison shares: it returns
+// cur's growth over old in percent and whether that growth reaches tolPct.
+// A non-positive tolPct disables the gate; a non-positive old has no
+// baseline to grow from and reports (0, false).
+func gate(old, cur, tolPct float64) (pct float64, regressed bool) {
+	if old <= 0 {
+		return 0, false
+	}
+	pct = (cur - old) / old * 100
+	return pct, tolPct > 0 && pct >= tolPct
 }
 
 // FormatDeltas renders a comparison table, slowest-regressing first kept

@@ -278,21 +278,9 @@ func CompareProfiles(old, cur *ProfileReport, tol Tolerances) (ProfileDelta, boo
 			"benchkit: baseline profiles %q, current run profiles %q", old.Workload, cur.Workload)
 	}
 	d := ProfileDelta{Workload: cur.Workload}
-	if old.NsPerOp > 0 {
-		d.TimePct = (cur.NsPerOp - old.NsPerOp) / old.NsPerOp * 100
-		if tol.TimePct > 0 {
-			d.TimeRegression = d.TimePct >= tol.TimePct
-		}
-	}
-	if old.AllocsPerOp > 0 {
-		d.AllocPct = (cur.AllocsPerOp - old.AllocsPerOp) / old.AllocsPerOp * 100
-		if tol.AllocPct > 0 {
-			d.AllocRegression = d.AllocPct >= tol.AllocPct
-		}
-	}
-	if old.BytesPerOp > 0 {
-		d.BytesPct = (cur.BytesPerOp - old.BytesPerOp) / old.BytesPerOp * 100
-	}
+	d.TimePct, d.TimeRegression = gate(old.NsPerOp, cur.NsPerOp, tol.TimePct)
+	d.AllocPct, d.AllocRegression = gate(old.AllocsPerOp, cur.AllocsPerOp, tol.AllocPct)
+	d.BytesPct, _ = gate(old.BytesPerOp, cur.BytesPerOp, 0)
 	return d, d.TimeRegression || d.AllocRegression, nil
 }
 

@@ -21,8 +21,7 @@ import (
 // stopped. Incomplete shards are simply re-run; completed ones are restored
 // verbatim and merged in the usual shard order, which makes a resumed
 // result byte-identical to an uninterrupted one (enforced by
-// TestCheckpointResumeByteIdentical). The distributed coordinator persists
-// its done-set in the same format.
+// TestCheckpointResumeByteIdentical).
 
 // checkpointKind tags the search checkpoint payload inside the versioned
 // resilience envelope.
@@ -79,13 +78,12 @@ func searchSignature(p *Partitioning, cfg Config, h Heuristic, lists [][]bad.Des
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Checkpointer persists the done-set of one planned search: every
+// checkpointer persists the done-set of one planned search: every
 // completed shard's result is written, with the plan signature, atomically
-// to cfg.CheckpointPath as soon as it is marked done. The in-process engine
-// and the distributed coordinator (internal/dist) both checkpoint through
-// it, so one file format serves both. All methods are nil-safe, and a nil
-// Checkpointer is what a search without a checkpoint path uses.
-type Checkpointer struct {
+// to cfg.CheckpointPath as soon as it is marked done. All methods are
+// nil-safe, and a nil checkpointer is what a search without a checkpoint
+// path uses.
+type checkpointer struct {
 	mu     sync.Mutex
 	cfg    Config
 	sig    string
@@ -95,20 +93,20 @@ type Checkpointer struct {
 	sp     *obs.Span
 }
 
-// OpenCheckpointer starts checkpointing the signed plan to
+// openCheckpointer starts checkpointing the signed plan to
 // cfg.CheckpointPath and returns the shards to skip, restored from an
 // existing matching snapshot when cfg.Resume is set. It returns a nil
-// Checkpointer when cfg.CheckpointPath is empty. Load problems — missing
+// checkpointer when cfg.CheckpointPath is empty. Load problems — missing
 // file, foreign kind/version, signature mismatch — are not errors: the
 // search starts fresh and the stale file is overwritten by the first save.
 // cfg supplies the path, Resume, Metrics, Inject, Stats and Phases; cfg.Ctx
 // bounds the save retries.
-func OpenCheckpointer(cfg Config, plan ShardPlan, sp *obs.Span) (*Checkpointer, map[int]*SearchResult) {
+func openCheckpointer(cfg Config, plan shardPlan, sp *obs.Span) (*checkpointer, map[int]*SearchResult) {
 	restored := make(map[int]*SearchResult)
 	if cfg.CheckpointPath == "" {
 		return nil, restored
 	}
-	c := &Checkpointer{cfg: cfg, sig: plan.Signature, done: make(map[int]*SearchResult), sp: sp}
+	c := &checkpointer{cfg: cfg, sig: plan.Signature, done: make(map[int]*SearchResult), sp: sp}
 	if !cfg.Resume {
 		return c, restored
 	}
@@ -138,13 +136,13 @@ func OpenCheckpointer(cfg Config, plan ShardPlan, sp *obs.Span) (*Checkpointer, 
 	return c, restored
 }
 
-// MarkDone records a completed shard and snapshots the done-set. Safe for
+// markDone records a completed shard and snapshots the done-set. Safe for
 // concurrent workers: the calling goroutine becomes the single writer
 // unless one is already in flight, in which case that writer's next loop
 // picks the new completion up. The done-map is copied under the lock so
 // the write itself — resilience.Retry with backoff sleeps — runs unlocked
 // and never stalls workers reporting new shards.
-func (c *Checkpointer) MarkDone(si int, res *SearchResult) {
+func (c *checkpointer) markDone(si int, res *SearchResult) {
 	if c == nil {
 		return
 	}
@@ -169,9 +167,9 @@ func (c *Checkpointer) MarkDone(si int, res *SearchResult) {
 	c.saving = false
 }
 
-// Finish removes the checkpoint after a successful search: the snapshot is
+// finish removes the checkpoint after a successful search: the snapshot is
 // consumed, and a later unrelated run must not resume from it.
-func (c *Checkpointer) Finish() {
+func (c *checkpointer) finish() {
 	if c == nil {
 		return
 	}
@@ -186,8 +184,8 @@ func (c *Checkpointer) Finish() {
 // failures (and injected "checkpoint.save" faults). A save that still
 // fails after the retries is recorded but does not kill the search —
 // checkpoint durability is best-effort by design. Runs without the mutex;
-// MarkDone guarantees a single writer at a time.
-func (c *Checkpointer) save(snap searchCheckpoint) {
+// markDone guarantees a single writer at a time.
+func (c *checkpointer) save(snap searchCheckpoint) {
 	// Checkpoint I/O is booked on the accounter's global cell: the writer
 	// is an elected worker goroutine, but the cost belongs to the
 	// checkpoint phase, not to whichever shard drew the short straw.

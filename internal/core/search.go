@@ -146,7 +146,7 @@ func (e *engine) searchAll(p *Partitioning) (SearchResult, error) {
 		if err := e.sign(p); err != nil {
 			return res, err
 		}
-		e.cp, restored = OpenCheckpointer(cfg, e.plan, e.sp)
+		e.cp, restored = openCheckpointer(cfg, e.plan, e.sp)
 	}
 	order := make([]int, 0, e.plan.Shards)
 	for si := range outs {
@@ -169,7 +169,7 @@ func (e *engine) searchAll(p *Partitioning) (SearchResult, error) {
 		return res, err
 	}
 	finishSearch(&res)
-	e.cp.Finish()
+	e.cp.finish()
 	return res, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -17,15 +16,12 @@ import (
 // This file is the one search engine. Both heuristics decompose into
 // independent shards — contiguous index ranges of the combination
 // cross-product for enumeration, single candidate initiation intervals for
-// the iterative heuristic. A search plans the shards (PlanShards' geometry),
-// drains a list of shard indices with N workers claiming entries from one
-// atomic cursor, and merges the per-shard results in shard order, which is
-// exactly the visit order of the paper's loops. Search drains every shard
-// not restored from a checkpoint; SearchShards drains the indices a
-// distributed coordinator (internal/dist) leased to one worker, and
-// MergeShardResults folds a fleet's done-set. Serial, parallel,
-// checkpointed and distributed searches are therefore the same code, and
-// their results agree by construction. See DESIGN.md, "Concurrency model".
+// the iterative heuristic. A search plans the shards (newEngine's geometry),
+// drains the shards not restored from a checkpoint with N workers claiming
+// entries from one atomic cursor, and merges the per-shard results in shard
+// order, which is exactly the visit order of the paper's loops. Serial,
+// parallel and checkpointed searches are therefore the same code, and their
+// results agree by construction. See DESIGN.md, "Concurrency model".
 
 // shardsPerWorker over-decomposes the enumeration space so a slow shard
 // (expensive integrations cluster in parts of the space) cannot straggle
@@ -33,38 +29,33 @@ import (
 // the merged result.
 const shardsPerWorker = 4
 
-// ShardPlan fixes the deterministic decomposition of one search.
-type ShardPlan struct {
-	Heuristic Heuristic `json:"heuristic"`
+// shardPlan fixes the deterministic decomposition of one search.
+type shardPlan struct {
+	Heuristic Heuristic
 	// Shards is the number of shards the search splits into. Zero marks an
 	// empty search space (some partition has no viable prediction for the
 	// enumeration heuristic, or an empty design list for the iterative one):
 	// there is nothing to execute and the merged result is the zero result.
-	Shards int `json:"shards"`
+	Shards int
 	// Total is the enumeration combination count; for the iterative
 	// heuristic it equals Shards (one candidate interval per shard).
-	Total int `json:"total"`
+	Total int
 	// Signature fingerprints the problem content, search knobs and shard
-	// geometry (see searchSignature). Executors must refuse a plan whose
-	// locally recomputed signature differs: it would merge shards from a
-	// different search.
-	Signature string `json:"signature"`
+	// geometry (see searchSignature). Resume refuses a checkpoint whose
+	// signature differs: it would merge shards from a different search.
+	Signature string
 }
 
 // engine is one planned search: the shard geometry and what executing a
 // shard needs. Everything but aborted is read-only while workers drain.
 type engine struct {
-	plan      ShardPlan
+	plan      shardPlan
 	lists     [][]bad.Design
 	intervals []int // iterative: shard si's candidate interval
 	it        *integrator
 	cfg       Config
 	sp        *obs.Span
-	cp        *Checkpointer
-	// cellByPos numbers stats and phase cells by position in the drained
-	// list instead of by shard index (a shard job runs a subset of the
-	// plan and reports only that subset).
-	cellByPos bool
+	cp        *checkpointer
 	// aborted is set by the first failing shard so the others stop.
 	aborted atomic.Bool
 }
@@ -76,7 +67,7 @@ type engine struct {
 // heuristic's shards are its candidate intervals, so the request is
 // ignored.
 func newEngine(cfg Config, preds []bad.Result, h Heuristic, shards int) (*engine, error) {
-	e := &engine{plan: ShardPlan{Heuristic: h}, cfg: cfg, lists: make([][]bad.Design, len(preds))}
+	e := &engine{plan: shardPlan{Heuristic: h}, cfg: cfg, lists: make([][]bad.Design, len(preds))}
 	for i, r := range preds {
 		e.lists[i] = r.Designs
 	}
@@ -104,8 +95,8 @@ func newEngine(cfg Config, preds []bad.Result, h Heuristic, shards int) (*engine
 	return e, nil
 }
 
-// sign stamps the plan with its signature. Only checkpoints and exported
-// plans need one; a plain search never pays for it.
+// sign stamps the plan with its signature. Only checkpoints need one; a
+// plain search never pays for it.
 func (e *engine) sign(p *Partitioning) error {
 	sig, err := searchSignature(p, e.cfg, e.plan.Heuristic, e.lists, e.plan.Shards, e.plan.Total)
 	e.plan.Signature = sig
@@ -168,16 +159,13 @@ func (e *engine) drain(order []int, outs []shardOut, into *SearchResult) {
 			if k >= len(order) || e.aborted.Load() {
 				return
 			}
-			si, cell := order[k], order[k]
-			if e.cellByPos {
-				cell = k
-			}
+			si := order[k]
 			s.res = into
 			if s.res == nil {
 				s.res = &outs[si].res
 			}
-			s.ss = e.cfg.Stats.ShardStats(cell)
-			s.ph = e.cfg.Phases.Shard(cell)
+			s.ss = e.cfg.Stats.ShardStats(si)
+			s.ph = e.cfg.Phases.Shard(si)
 			if !s.run(si, &outs[si]) {
 				return
 			}
@@ -224,7 +212,7 @@ func (s *shard) run(si int, out *shardOut) bool {
 		return false
 	}
 	s.ss.Done()
-	s.cp.MarkDone(si, s.res)
+	s.cp.markDone(si, s.res)
 	return true
 }
 
@@ -310,92 +298,4 @@ func decodeCombination(k int, lists [][]bad.Design, idx []int) {
 		idx[i] = k % len(lists[i])
 		k /= len(lists[i])
 	}
-}
-
-// PlanShards computes the signed shard decomposition of a search over
-// preds. For the enumeration heuristic the space splits into `shards`
-// contiguous combination ranges (clamped to the combination count; <= 0
-// requests the in-process default of workers x 4). The iterative
-// heuristic's shards are the candidate intervals, so the request is
-// ignored and the interval count wins — iterative plans agree across any
-// requested shard count, while enumeration plans only match at the shard
-// count they were planned with.
-func PlanShards(p *Partitioning, cfg Config, preds []bad.Result, h Heuristic, shards int) (ShardPlan, error) {
-	e, err := newEngine(cfg, preds, h, shards)
-	if err != nil {
-		return ShardPlan{}, err
-	}
-	if err := e.sign(p); err != nil {
-		return ShardPlan{}, err
-	}
-	return e.plan, nil
-}
-
-// SearchShards executes the named shard indices of plan — which PlanShards
-// must have produced for the same (p, cfg, preds) — and returns each
-// shard's private result, keyed by shard index. The plan's geometry is
-// checked against the local inputs, its signature is not: callers that
-// received the plan from elsewhere compare signatures themselves. Shards
-// run on cfg.searchWorkers() workers; the first shard error (in shard
-// order) aborts the remaining work. Live stats cover exactly the shards
-// this call runs.
-func SearchShards(p *Partitioning, cfg Config, preds []bad.Result, plan ShardPlan,
-	indices []int) (map[int]*SearchResult, error) {
-
-	e, err := newEngine(cfg, preds, plan.Heuristic, plan.Shards)
-	if err != nil {
-		return nil, err
-	}
-	if e.plan.Shards != plan.Shards || e.plan.Total != plan.Total {
-		return nil, fmt.Errorf("core: shard plan mismatch: plan has %d shards over %d, local geometry %d over %d",
-			plan.Shards, plan.Total, e.plan.Shards, e.plan.Total)
-	}
-	order := append([]int(nil), indices...)
-	sort.Ints(order)
-	total := 0
-	for k, si := range order {
-		if si < 0 || si >= plan.Shards {
-			return nil, fmt.Errorf("core: shard index %d out of range [0,%d)", si, plan.Shards)
-		}
-		if k > 0 && order[k-1] == si {
-			return nil, fmt.Errorf("core: duplicate shard index %d", si)
-		}
-		total += e.shardTrials(si)
-	}
-	if e.it, err = newIntegrator(p, cfg); err != nil {
-		return nil, err
-	}
-	e.cellByPos = true
-	cfg.Stats.StartSearch(len(order), int64(total))
-	cfg.Phases.StartSearch(len(order))
-	outs := make([]shardOut, plan.Shards)
-	e.drain(order, outs, nil)
-	done := make(map[int]*SearchResult, len(order))
-	for _, si := range order {
-		if err := outs[si].err; err != nil {
-			return nil, err
-		}
-		done[si] = &outs[si].res
-	}
-	return done, nil
-}
-
-// MergeShardResults folds a complete done-set into the final result,
-// merging in shard-index order (the visit order) and applying the
-// finishSearch reduction, exactly as Search does. Every shard in
-// [0, shards) must be present; a missing one is an error, because a partial
-// merge would silently diverge from the whole-plan result.
-func MergeShardResults(h Heuristic, shards int, done map[int]*SearchResult) (SearchResult, error) {
-	res := SearchResult{Heuristic: h}
-	for si := 0; si < shards; si++ {
-		s, ok := done[si]
-		if !ok || s == nil {
-			return SearchResult{Heuristic: h}, fmt.Errorf("core: merge missing shard %d of %d", si, shards)
-		}
-		mergeShard(&res, s)
-	}
-	if shards > 0 {
-		finishSearch(&res)
-	}
-	return res, nil
 }

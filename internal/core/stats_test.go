@@ -67,7 +67,7 @@ func TestStatsDoNotPerturbSearch(t *testing.T) {
 }
 
 // TestStatsShardGeometry pins the published shard table to the engine's
-// decomposition: the PlanShards geometry in every mode — workers x
+// decomposition: newEngine's geometry in every mode — workers x
 // shardsPerWorker enumeration ranges (capped at the space size) at one
 // worker and at several, with or without a checkpoint, and one shard per
 // candidate interval for the iterative heuristic.
@@ -86,10 +86,11 @@ func TestStatsShardGeometry(t *testing.T) {
 				if ckpt {
 					cfg.CheckpointPath = filepath.Join(t.TempDir(), "search.ckpt")
 				}
-				plan, err := PlanShards(p, cfg, preds, h, 0)
+				e, err := newEngine(cfg, preds, h, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
+				plan := e.plan
 				st := obs.NewRunStats("geom")
 				cfg.Stats = st
 				if _, err := Search(p, cfg, preds, h); err != nil {

@@ -30,7 +30,19 @@ import (
 	"chop/internal/dfg"
 )
 
+// Bounds on what one program may unroll to. Specs arrive over the serve
+// API, so a few bytes of nested loop counts must not become unbounded work.
+const (
+	// maxNodes caps the unrolled graph, outputs included.
+	maxNodes = 1 << 16
+	// maxWork caps the statement bytes processed while unrolling, plus one
+	// per loop iteration: an empty or constant-only body adds no nodes but
+	// still costs time.
+	maxWork = 1 << 22
+)
+
 // Compile parses and lowers a specification to a validated graph.
+// Programs that unroll past maxNodes nodes or maxWork work are rejected.
 func Compile(name, src string, width int) (*dfg.Graph, error) {
 	p := &parser{width: width, g: dfg.New(name), vars: map[string]value{}}
 	lines, err := splitLines(src)
@@ -62,6 +74,7 @@ type parser struct {
 	vars    map[string]value
 	outputs []string
 	nameSeq int
+	work    int // unrolling work charged so far, see maxWork
 }
 
 // line is one logical statement; loops carry their body.
@@ -123,9 +136,22 @@ func group(raw []line) (out, rest []line, err error) {
 
 func (p *parser) block(lines []line) error {
 	for _, l := range lines {
+		if err := p.charge(l.no, len(l.text)); err != nil {
+			return err
+		}
 		if err := p.stmt(l); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// charge books w units of unrolling work for line lineNo and fails once
+// the program passes maxWork or its graph passes maxNodes.
+func (p *parser) charge(lineNo, w int) error {
+	p.work += w
+	if p.work > maxWork || len(p.g.Nodes)+len(p.outputs) > maxNodes {
+		return fmt.Errorf("hlspec: line %d: program unrolls past %d nodes or %d work units", lineNo, maxNodes, maxWork)
 	}
 	return nil
 }
@@ -157,6 +183,9 @@ func (p *parser) stmt(l line) error {
 		// Determinate iteration count: unroll (paper 2.3). Reassignments in
 		// the body naturally chain loop-carried values across iterations.
 		for i := 0; i < n; i++ {
+			if err := p.charge(l.no, 1); err != nil {
+				return err
+			}
 			if err := p.block(l.body); err != nil {
 				return err
 			}

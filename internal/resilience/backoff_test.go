@@ -94,8 +94,8 @@ func TestBackoffDegenerateInputs(t *testing.T) {
 
 // TestBackoffJitterDeterminismAcrossCallSites: the same (base, max,
 // jitter, seed) tuple produces the identical wait sequence whether the
-// Backoff is built directly (exported call site: serve.Client pollers,
-// dist lease submits) or internally by Retry from an equivalent
+// Backoff is built directly (exported call site: serve.Client pollers)
+// or internally by Retry from an equivalent
 // RetryPolicy — the curve is one schedule, not two.
 func TestBackoffJitterDeterminismAcrossCallSites(t *testing.T) {
 	const (
@@ -144,7 +144,7 @@ func TestBackoffJitterDeterminismAcrossCallSites(t *testing.T) {
 
 // TestBackoffZeroSeedDecorrelates: seed 0 derives from the clock, so two
 // jittered backoffs built back-to-back should not share a schedule — the
-// property that spreads a fleet's polls. (Checked over several waits; a
+// property that spreads many clients' polls. (Checked over several waits; a
 // full collision of five jittered samples means the seeds matched.)
 func TestBackoffZeroSeedDecorrelates(t *testing.T) {
 	a := NewBackoff(10*time.Millisecond, time.Second, 0.5, 0)

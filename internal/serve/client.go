@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -24,18 +23,13 @@ import (
 type Client struct {
 	// Base is the server's base URL, e.g. "http://127.0.0.1:8080".
 	Base string
-	// APIKey authenticates the client against an admission-controlled
-	// server (sent as X-API-Key). Empty sends no credential — fine for
-	// servers running without -api-keys.
-	APIKey string
 	// HTTP is the transport (nil: http.DefaultClient).
 	HTTP *http.Client
 }
 
 // APIError is the typed form of a non-2xx response: the HTTP status, the
-// server's machine-readable rejection reason ("rate-limited", "over-quota",
-// "bad-key", "queue-full", ...), and the Retry-After hint when the server
-// sent one. Recover it from a Client error with errors.As.
+// server's machine-readable rejection reason ("queue-full", "bad-spec",
+// ...), and the Retry-After hint when the server sent one. Recover it from a Client error with errors.As.
 type APIError struct {
 	Status     int
 	Reason     string
@@ -82,9 +76,6 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.APIKey != "" {
-		req.Header.Set("X-API-Key", c.APIKey)
 	}
 	if tc, ok := obs.TraceContextFrom(ctx); ok {
 		obs.InjectTraceparent(req.Header, tc)
@@ -142,56 +133,6 @@ func (c *Client) Submit(ctx context.Context, req SubmitSpec) (RunStatus, error) 
 	return st, err
 }
 
-// SubmitRetry submits like Submit but rides out admission backpressure:
-// 429 (rate-limited, over-quota) and 503 (queue-full, draining) rejections
-// are retried until the submission is accepted, a non-retryable error
-// occurs, ctx ends, or the budget elapses. The wait before each retry is
-// the server's Retry-After hint when it sent one — the server knows when
-// its token bucket refills or its queue drains — falling back to
-// exponential backoff with deterministic jitter (seeded from the run kind,
-// so concurrent submitters decorrelate). budget <= 0 means a single
-// attempt, i.e. plain Submit.
-func (c *Client) SubmitRetry(ctx context.Context, req SubmitSpec, budget time.Duration) (RunStatus, error) {
-	st, err := c.Submit(ctx, req)
-	if budget <= 0 {
-		return st, err
-	}
-	deadline := time.Now().Add(budget)
-	backoff := resilience.NewBackoff(200*time.Millisecond, 5*time.Second, 0.2,
-		pollSeed(c.Base+"/"+req.Kind))
-	for {
-		if !retryableSubmit(err) {
-			return st, err
-		}
-		wait := backoff.Next()
-		var ae *APIError
-		if errors.As(err, &ae) && ae.RetryAfter > 0 {
-			wait = ae.RetryAfter
-		}
-		if time.Now().Add(wait).After(deadline) {
-			return st, fmt.Errorf("serve: submit retry budget exhausted: %w", err)
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(wait):
-		}
-		st, err = c.Submit(ctx, req)
-	}
-}
-
-// retryableSubmit reports whether a submit rejection is backpressure worth
-// waiting out: only typed 429/503 responses qualify. Transport errors and
-// everything else (400 bad spec, 401 bad key, ...) fail fast — retrying
-// them would just repeat the same answer.
-func retryableSubmit(err error) bool {
-	var ae *APIError
-	if !errors.As(err, &ae) {
-		return false
-	}
-	return ae.Status == http.StatusTooManyRequests || ae.Status == http.StatusServiceUnavailable
-}
-
 // Get fetches one run's status, including its result when terminal.
 func (c *Client) Get(ctx context.Context, id string) (RunStatus, error) {
 	var st RunStatus
@@ -212,8 +153,8 @@ func (c *Client) Cancel(ctx context.Context, id string) (cancelled bool, err err
 // Await polls a run until it reaches a terminal state (or ctx ends). poll
 // is the initial polling delay (default 200ms); each subsequent wait backs
 // off exponentially, capped at 8x, with deterministic ±20% jitter seeded
-// from the run id — so a fleet of high-RPS clients (loadgen) decorrelates
-// its polls instead of hammering the server in lockstep.
+// from the run id — so many clients awaiting runs decorrelate their polls
+// instead of hammering the server in lockstep.
 func (c *Client) Await(ctx context.Context, id string, poll time.Duration) (RunStatus, error) {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond

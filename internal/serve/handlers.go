@@ -4,10 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"chop/internal/obs"
@@ -18,7 +15,7 @@ type apiError struct {
 	Error string `json:"error"`
 	// Reason is a short machine-readable rejection class ("queue-full",
 	// "draining", "unknown-kind", "bad-spec", "bad-checkpoint",
-	// "not-found", "bad-key", "rate-limited", "over-quota").
+	// "not-found").
 	Reason string `json:"reason,omitempty"`
 	// RequestID echoes the X-Request-Id header so error reports quote one
 	// token that finds the matching server log line and trace span.
@@ -39,37 +36,6 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, reason strin
 		Reason:    reason,
 		RequestID: RequestIDFrom(r.Context()),
 	})
-}
-
-// setRetryAfter advertises a retry hint on a backpressure rejection: the
-// duration the admission layer computed when it supplied one (rounded up
-// to whole seconds, as the header requires), else the fallback. Must be
-// called before the status line is written.
-func setRetryAfter(w http.ResponseWriter, err error, fallback time.Duration) {
-	after := fallback
-	var ra *RetryAfterError
-	if errors.As(err, &ra) && ra.RetryAfter > 0 {
-		after = ra.RetryAfter
-	}
-	secs := int(math.Ceil(after.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-}
-
-// apiKeyFrom extracts the submitting tenant's credential: X-API-Key, or
-// an Authorization: Bearer token. Empty when the request carries neither.
-func apiKeyFrom(r *http.Request) string {
-	if key := r.Header.Get("X-API-Key"); key != "" {
-		return key
-	}
-	if auth := r.Header.Get("Authorization"); auth != "" {
-		if token, ok := strings.CutPrefix(auth, "Bearer "); ok {
-			return strings.TrimSpace(token)
-		}
-	}
-	return ""
 }
 
 // submitRequest is the POST /api/v1/runs body.
@@ -102,7 +68,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusServiceUnavailable, "draining", ErrDraining)
 		return
 	}
-	opts := SubmitOptions{Checkpoint: req.Checkpoint, APIKey: apiKeyFrom(r)}
+	opts := SubmitOptions{Checkpoint: req.Checkpoint}
 	// The middleware parsed (or minted) the request's trace context; the
 	// run adopts the trace ID and hangs its root span under this request's
 	// span, so a stitched trace reads caller → HTTP submit → job run.
@@ -118,16 +84,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	run, accepted, err := s.reg.submit(req.Kind, req.Spec, opts)
 	if err != nil {
 		switch {
-		case errors.Is(err, ErrBadKey):
-			writeError(w, r, http.StatusUnauthorized, "bad-key", err)
-		case errors.Is(err, ErrRateLimited):
-			setRetryAfter(w, err, time.Second)
-			writeError(w, r, http.StatusTooManyRequests, "rate-limited", err)
-		case errors.Is(err, ErrOverQuota):
-			setRetryAfter(w, err, time.Second)
-			writeError(w, r, http.StatusTooManyRequests, "over-quota", err)
 		case errors.Is(err, ErrQueueFull):
-			setRetryAfter(w, err, time.Second)
+			w.Header().Set("Retry-After", "1")
 			writeError(w, r, http.StatusServiceUnavailable, "queue-full", err)
 		case errors.Is(err, ErrDraining):
 			writeError(w, r, http.StatusServiceUnavailable, "draining", err)

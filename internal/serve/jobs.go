@@ -21,15 +21,12 @@ import (
 //	       all-non-pipelined feasible design to Verilog
 //	exp1   regenerate paper experiment 1 (Tables 3 and 4)
 //	exp2   regenerate paper experiment 2 (Tables 5 and 6)
-//	shard  execute named shards of a planned search for a distributed
-//	       coordinator (see internal/dist and shard.go)
 func DefaultJobs() map[string]Job {
 	return map[string]Job{
 		"eval":  {Run: evalJob, Validate: validateSpec},
 		"synth": {Run: synthJob, Validate: validateSpec},
 		"exp1":  {Run: expJob(1)},
 		"exp2":  {Run: expJob(2)},
-		"shard": {Run: shardJob, Validate: validateShard},
 	}
 }
 

@@ -5,11 +5,9 @@
 // Prometheus metrics, health/readiness and pprof.
 //
 // The package is dependency-free (net/http only) and layered: Registry is
-// the run supervisor (admission, priority queue, worker pool, lifecycle,
-// cancellation, preemption), admission.go is the multi-tenant admission
-// table (API keys, quotas, rate limits), jobs.go maps run kinds onto the
-// pipeline (eval, synth, exp1/exp2), and server.go plus handlers.go put
-// the HTTP surface on top.
+// the run supervisor (FIFO queue, worker pool, lifecycle, cancellation),
+// jobs.go maps run kinds onto the pipeline (eval, synth, exp1/exp2), and
+// server.go plus handlers.go put the HTTP surface on top.
 package serve
 
 import (
@@ -21,7 +19,6 @@ import (
 	"log/slog"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,8 +32,7 @@ import (
 type State string
 
 // Run lifecycle states. queued → running → done|failed|canceled; a queued
-// run may go straight to canceled, and a preempted running run goes back
-// to queued (resuming from its checkpoint when redispatched).
+// run may go straight to canceled.
 const (
 	StateQueued   State = "queued"
 	StateRunning  State = "running"
@@ -71,7 +67,7 @@ type JobContext struct {
 	Phases *obs.PhaseAccounter
 	// Checkpoint is the run's search-checkpoint path (empty: none). Jobs
 	// that search wire it into core.Config; a matching snapshot left by an
-	// interrupted (or preempted) earlier run is resumed automatically.
+	// interrupted earlier run is resumed automatically.
 	Checkpoint string
 	// Inject is the server-wide fault-injection harness (nil in
 	// production). Jobs pass it down so injected faults reach the pipeline.
@@ -79,7 +75,7 @@ type JobContext struct {
 }
 
 // JobFunc executes one run kind. The context is cancelled on run
-// cancellation, preemption and server shutdown; implementations must
+// cancellation, deadline expiry and server shutdown; implementations must
 // return promptly once it is done (the core pipeline does, via
 // Config.Ctx). The returned value is serialized as the run's result JSON.
 type JobFunc func(ctx context.Context, spec json.RawMessage, jc JobContext) (any, error)
@@ -97,10 +93,7 @@ type Job struct {
 type Run struct {
 	mu        sync.Mutex
 	id        string
-	seq       int64 // submission order, the FIFO key within a priority class
 	kind      string
-	tenant    string
-	priority  int
 	spec      json.RawMessage
 	state     State
 	submitted time.Time
@@ -108,16 +101,7 @@ type Run struct {
 	finished  time.Time
 	result    any
 	errMsg    string
-	cancelled bool // cancel requested while queued (shutdown flush)
 	cancel    context.CancelFunc
-
-	// preempt cancels the running job with ErrPreempted as the cause;
-	// preemptWanted records a request that raced job startup so execute can
-	// honor it the moment the cancel machinery exists. preemptions counts
-	// how many times this run was displaced and requeued.
-	preempt       context.CancelFunc
-	preemptWanted bool
-	preemptions   int
 
 	timeout    time.Duration // wall-clock deadline (0: registry default)
 	checkpoint string        // search checkpoint path (empty: none)
@@ -143,19 +127,6 @@ func (r *Run) Ring() *obs.RingSink { return r.ring }
 // search starts publishing.
 func (r *Run) Stats() *obs.RunStats { return r.stats }
 
-// requestPreempt asks the running job to stop with ErrPreempted as its
-// cancellation cause. Safe in the dispatch→execute window where the cancel
-// machinery does not exist yet: the request is latched and honored as soon
-// as execute installs it.
-func (r *Run) requestPreempt() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.preemptWanted = true
-	if r.preempt != nil {
-		r.preempt()
-	}
-}
-
 // RunStatus is the API view of a run.
 type RunStatus struct {
 	ID        string          `json:"id"`
@@ -167,12 +138,6 @@ type RunStatus struct {
 	Error     string          `json:"error,omitempty"`
 	Result    any             `json:"result,omitempty"`
 	Spec      json.RawMessage `json:"spec,omitempty"`
-	// Tenant and Priority identify the submitting tenant's admission class
-	// on an -api-keys server; Preemptions counts how many times this run
-	// was displaced by higher-priority work and requeued.
-	Tenant      string `json:"tenant,omitempty"`
-	Priority    int    `json:"priority,omitempty"`
-	Preemptions int    `json:"preemptions,omitempty"`
 	// TraceEvents is the number of trace events currently retained for
 	// replay; TraceDropped how many older ones the bounded ring has
 	// already discarded.
@@ -195,9 +160,6 @@ func (r *Run) Status(withDetail bool) RunStatus {
 		State:        r.state,
 		Submitted:    r.submitted,
 		Error:        r.errMsg,
-		Tenant:       r.tenant,
-		Priority:     r.priority,
-		Preemptions:  r.preemptions,
 		TraceEvents:  r.ring.Len(),
 		TraceDropped: r.ring.Overwritten(),
 		TraceID:      r.trace.TraceID,
@@ -218,8 +180,6 @@ func (r *Run) Status(withDetail bool) RunStatus {
 }
 
 // Submission errors, distinguished by the API layer's status mapping.
-// Admission rejections (ErrBadKey, ErrRateLimited, ErrOverQuota) live in
-// admission.go.
 var (
 	// ErrQueueFull rejects a submission when the bounded queue is at
 	// capacity (HTTP 503 + Retry-After: retry later).
@@ -237,7 +197,7 @@ var (
 // ErrJobTimeout is the cancellation cause of a run that exhausted its
 // wall-clock deadline. It distinguishes an expired deadline (the run is
 // marked failed, with this reason) from an operator or shutdown
-// cancellation (marked canceled) and from preemption (requeued).
+// cancellation (marked canceled).
 var ErrJobTimeout = errors.New("job deadline exceeded")
 
 // RegistryOptions parameterizes NewRegistry. Zero values select defaults.
@@ -270,11 +230,6 @@ type RegistryOptions struct {
 	// own privileges. Empty (the default) rejects any submission that asks
 	// for a checkpoint.
 	CheckpointDir string
-	// Tenants turns on multi-tenant admission control: submissions must
-	// carry a configured API key and are subject to the tenant's quotas,
-	// rate limit and priority class. Empty (the default) keeps the
-	// registry open-access with FIFO scheduling and no preemption.
-	Tenants []TenantConfig
 	// Inject is the fault-injection harness threaded through every job
 	// (nil in production; chaos tests and the CLI's -inject flag set it).
 	Inject *resilience.Injector
@@ -284,27 +239,19 @@ type RegistryOptions struct {
 	TraceSink obs.Sink
 }
 
-// Registry supervises runs: a priority queue feeding a fixed worker pool
-// through per-tenant admission gates, with per-run cancellation,
-// preemption of checkpointable runs, and observability. It is the non-HTTP
-// heart of the service plane, fully testable without sockets.
+// Registry supervises runs: a FIFO queue feeding a fixed worker pool, with
+// per-run cancellation and observability. It is the non-HTTP heart of the
+// service plane, fully testable without sockets.
 type Registry struct {
 	mu   sync.Mutex
-	cond *sync.Cond // signalled on enqueue, slot release, shutdown
+	cond *sync.Cond // signalled on enqueue and shutdown
 
-	runs  map[string]*Run
-	order []string
-	// pending is the dispatch queue, kept sorted by (priority desc, seq
-	// asc); running tracks in-flight runs; preempting marks victims whose
-	// preemption was requested but has not requeued yet, so one submission
-	// burst does not displace more runs than it needs.
-	pending    []*Run
-	running    map[string]*Run
-	preempting map[string]bool
+	runs    map[string]*Run
+	order   []string
+	pending []*Run // the dispatch queue, in submission order
 
 	nextID     atomic.Int64
 	jobs       map[string]Job
-	adm        *admission
 	metrics    *obs.Metrics
 	log        *slog.Logger
 	cache      *bad.PredictCache
@@ -348,10 +295,7 @@ func NewRegistry(opts RegistryOptions) *Registry {
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Registry{
 		runs:       make(map[string]*Run),
-		running:    make(map[string]*Run),
-		preempting: make(map[string]bool),
 		jobs:       opts.Jobs,
-		adm:        newAdmission(opts.Tenants),
 		metrics:    opts.Metrics,
 		log:        opts.Log,
 		cache:      cache,
@@ -386,19 +330,8 @@ func (r *Registry) QueueLen() int {
 	return len(r.pending)
 }
 
-// TenantOccupancies snapshots the live admission accounting of every
-// configured tenant (nil on an open-access registry). The chaos suites
-// assert all running/queued slots return to zero after a drain.
-func (r *Registry) TenantOccupancies() []TenantOccupancy {
-	return r.adm.occupancy()
-}
-
 // SubmitOptions carries per-run execution policy alongside the spec.
 type SubmitOptions struct {
-	// APIKey is the submitting tenant's credential. Required (and checked
-	// against the tenant table) when the registry is admission-controlled;
-	// ignored on an open-access registry.
-	APIKey string
 	// Timeout bounds the run's wall clock once it starts executing. 0
 	// falls back to the registry's DefaultJobTimeout; negative means
 	// explicitly unbounded even when a default exists.
@@ -408,9 +341,7 @@ type SubmitOptions struct {
 	// filesystem path). Resubmitting with the same name resumes a matching
 	// snapshot from an interrupted earlier run. Non-empty names are rejected
 	// with ErrBadCheckpoint when no CheckpointDir is configured or the name
-	// escapes it. A checkpoint also marks the run preemptable: a
-	// higher-priority submission may displace it mid-flight, to be resumed
-	// from the snapshot later.
+	// escapes it.
 	Checkpoint string
 	// Trace links the run into the caller's distributed trace: a valid
 	// TraceID is adopted for every span the run emits (minted otherwise),
@@ -445,11 +376,10 @@ func (r *Registry) Submit(kind string, spec json.RawMessage) (*Run, error) {
 	return r.SubmitWith(kind, spec, SubmitOptions{})
 }
 
-// SubmitWith is Submit with per-run execution policy. Submissions pass the
-// admission gates in order — API key, rate limit, tenant queue quota —
-// then the registry-wide backpressure checks (draining, global queue
-// depth). Every rejection increments its serve.admission.rejected.*
-// counter so backpressure is observable per reason.
+// SubmitWith is Submit with per-run execution policy. A draining registry
+// or a full queue rejects the submission; every rejection increments
+// serve.runs.rejected, and a full queue also
+// serve.admission.rejected.queue_full.
 func (r *Registry) SubmitWith(kind string, spec json.RawMessage, opts SubmitOptions) (*Run, error) {
 	run, _, err := r.submit(kind, spec, opts)
 	return run, err
@@ -473,22 +403,7 @@ func (r *Registry) submit(kind string, spec json.RawMessage, opts SubmitOptions)
 	if err != nil {
 		return nil, RunStatus{}, err
 	}
-	tenant, priority, err := r.adm.admit(opts.APIKey)
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrBadKey):
-			r.metrics.Inc("serve.admission.rejected.bad_key")
-		case errors.Is(err, ErrRateLimited):
-			r.metrics.Inc("serve.admission.rejected.rate_limited")
-		case errors.Is(err, ErrOverQuota):
-			r.metrics.Inc("serve.admission.rejected.over_quota")
-		}
-		return nil, RunStatus{}, err
-	}
-	// From here on the tenant holds one queued reservation; every failure
-	// path must return it.
 	reject := func(counter string, err error) (*Run, RunStatus, error) {
-		r.adm.unqueue(tenant)
 		r.metrics.Inc("serve.runs.rejected")
 		if counter != "" {
 			r.metrics.Inc(counter)
@@ -513,8 +428,6 @@ func (r *Registry) submit(kind string, spec json.RawMessage, opts SubmitOptions)
 	}
 	run := &Run{
 		kind:       kind,
-		tenant:     tenant,
-		priority:   priority,
 		spec:       spec,
 		state:      StateQueued,
 		submitted:  time.Now(),
@@ -535,99 +448,23 @@ func (r *Registry) submit(kind string, spec json.RawMessage, opts SubmitOptions)
 		r.mu.Unlock()
 		return reject("serve.admission.rejected.queue_full", ErrQueueFull)
 	}
-	run.seq = r.nextID.Add(1)
-	run.id = fmt.Sprintf("r-%06d", run.seq)
+	run.id = fmt.Sprintf("r-%06d", r.nextID.Add(1))
 	run.stats = obs.NewRunStats(run.id)
 	// The accounter is attached up front so stats snapshots carry the phase
 	// breakdown from the first trial on.
 	run.phases = obs.NewPhaseAccounter()
 	run.stats.AttachPhases(run.phases)
 	accepted := run.Status(false)
-	r.enqueueLocked(run)
+	r.pending = append(r.pending, run)
+	r.cond.Signal()
 	r.runs[run.id] = run
 	r.order = append(r.order, run.id)
-	r.maybePreemptLocked()
 	queued := len(r.pending)
 	r.mu.Unlock()
 	r.metrics.Inc("serve.runs.submitted")
-	r.metrics.Inc("serve.admission.admitted")
-	r.log.Info("run submitted", "run", run.id, "kind", kind, "tenant", tenant,
-		"priority", priority, "trace_id", run.trace.TraceID, "queue", queued)
+	r.log.Info("run submitted", "run", run.id, "kind", kind,
+		"trace_id", run.trace.TraceID, "queue", queued)
 	return run, accepted, nil
-}
-
-// enqueueLocked inserts the run into pending, keeping the dispatch order:
-// priority descending, submission sequence ascending within a class. A
-// preempted run keeps its original sequence, so it resumes ahead of
-// everything submitted after it at the same priority.
-func (r *Registry) enqueueLocked(run *Run) {
-	i := sort.Search(len(r.pending), func(i int) bool {
-		p := r.pending[i]
-		if p.priority != run.priority {
-			return p.priority < run.priority
-		}
-		return p.seq > run.seq
-	})
-	r.pending = append(r.pending, nil)
-	copy(r.pending[i+1:], r.pending[i:])
-	r.pending[i] = run
-	r.cond.Broadcast()
-}
-
-// dispatchLocked pops the first dispatchable pending run — highest
-// priority whose tenant is under its running quota — or nil when nothing
-// is eligible. Caller holds mu.
-func (r *Registry) dispatchLocked() *Run {
-	for i, run := range r.pending {
-		if !r.adm.canRun(run.tenant) {
-			continue
-		}
-		r.pending = append(r.pending[:i], r.pending[i+1:]...)
-		r.running[run.id] = run
-		r.adm.startRun(run.tenant)
-		return run
-	}
-	return nil
-}
-
-// maybePreemptLocked displaces a running checkpointable run when a
-// higher-priority submission cannot be dispatched for lack of a free
-// worker. The victim is the lowest-priority running run strictly below the
-// waiting run's class; its job is cancelled with ErrPreempted as cause,
-// execute requeues it (state back to queued, checkpoint retained), and the
-// freed slot dispatches the preemptor. One victim per call — each
-// submission frees at most the one slot it needs. Caller holds mu.
-func (r *Registry) maybePreemptLocked() {
-	if r.adm == nil || len(r.running) < r.workers {
-		return
-	}
-	var want *Run // pending is sorted: the first dispatchable is the best
-	for _, run := range r.pending {
-		if r.adm.canRun(run.tenant) {
-			want = run
-			break
-		}
-	}
-	if want == nil {
-		return
-	}
-	var victim *Run
-	for _, run := range r.running {
-		if r.preempting[run.id] || run.checkpoint == "" || run.priority >= want.priority {
-			continue
-		}
-		if victim == nil || run.priority < victim.priority ||
-			(run.priority == victim.priority && run.seq > victim.seq) {
-			victim = run // lowest class first; youngest within the class
-		}
-	}
-	if victim == nil {
-		return
-	}
-	r.preempting[victim.id] = true
-	r.log.Info("run preemption requested", "victim", victim.id,
-		"victim_priority", victim.priority, "for", want.id, "priority", want.priority)
-	victim.requestPreempt()
 }
 
 // Get returns a run by id.
@@ -668,8 +505,8 @@ func (r *Registry) Cancel(id string) (bool, error) {
 	run.mu.Lock()
 	switch run.state {
 	case StateQueued:
-		// Finalize in place: pull it out of pending so it neither occupies
-		// a queue slot nor waits on tenant eligibility to die.
+		// Finalize in place: pull it out of pending so it does not occupy
+		// a queue slot.
 		run.state = StateCanceled
 		run.finished = time.Now()
 		run.errMsg = context.Canceled.Error()
@@ -680,7 +517,6 @@ func (r *Registry) Cancel(id string) (bool, error) {
 				break
 			}
 		}
-		r.adm.unqueue(run.tenant)
 		r.mu.Unlock()
 		run.ring.Close()
 		r.metrics.Inc("serve.runs.canceled")
@@ -749,57 +585,35 @@ func (r *Registry) CountByState() map[State]int {
 	return out
 }
 
-// worker executes dispatchable runs until shutdown.
+// worker executes queued runs, oldest first, until shutdown.
 func (r *Registry) worker() {
 	defer r.wg.Done()
 	for {
 		r.mu.Lock()
-		var run *Run
-		for {
-			if r.baseCtx.Err() != nil {
-				r.mu.Unlock()
-				return
-			}
-			if run = r.dispatchLocked(); run != nil {
-				break
-			}
+		for len(r.pending) == 0 && r.baseCtx.Err() == nil {
 			r.cond.Wait()
 		}
-		r.mu.Unlock()
-		requeued := r.execute(run)
-		r.mu.Lock()
-		delete(r.running, run.id)
-		delete(r.preempting, run.id)
-		switch {
-		case requeued && !r.draining.Load():
-			// draining is re-checked under mu: Shutdown flips it (and
-			// flushes pending) under the same lock, so a preempted run
-			// either re-enters pending before the flush or is finalized
-			// below — never re-enqueued behind an exiting worker pool.
-			r.adm.requeue(run.tenant)
-			r.enqueueLocked(run)
-		case requeued:
-			r.adm.finishRun(run.tenant)
-			run.mu.Lock()
-			run.state = StateCanceled
-			run.finished = time.Now()
-			run.errMsg = context.Canceled.Error()
-			run.mu.Unlock()
-			run.ring.Close()
-			r.metrics.Inc("serve.runs.canceled")
-		default:
-			r.adm.finishRun(run.tenant)
+		if r.baseCtx.Err() != nil {
+			r.mu.Unlock()
+			return
 		}
-		r.cond.Broadcast() // a slot freed: re-evaluate eligibility
+		run := r.pending[0]
+		r.pending[0] = nil // drop the backing array's reference
+		r.pending = r.pending[1:]
 		r.mu.Unlock()
+		r.execute(run)
 	}
 }
 
-// execute drives one run through its lifecycle. It reports true when the
-// run was preempted and must be requeued instead of finalized.
-func (r *Registry) execute(run *Run) (requeued bool) {
+// execute drives one run through its lifecycle.
+func (r *Registry) execute(run *Run) {
 	run.mu.Lock()
-	if run.cancelled || r.baseCtx.Err() != nil {
+	if run.state != StateQueued {
+		// Cancel finalized the run between its dequeue and this start.
+		run.mu.Unlock()
+		return
+	}
+	if r.baseCtx.Err() != nil {
 		run.state = StateCanceled
 		run.finished = time.Now()
 		run.errMsg = context.Canceled.Error()
@@ -807,30 +621,21 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 		run.ring.Close()
 		r.metrics.Inc("serve.runs.canceled")
 		r.log.Info("run canceled before start", "run", run.id)
-		return false
+		return
 	}
 	// The run's context layers the wall-clock deadline (when one applies)
-	// over a preemption layer over the registry-wide cancellation. Each
-	// carries its cause — ErrJobTimeout for an expired deadline,
-	// ErrPreempted for displacement — so the outcome classification below
-	// can tell "too slow" from "told to stop" from "make room".
-	pctx, preemptCause := context.WithCancelCause(r.baseCtx)
+	// over the registry-wide cancellation. The deadline carries
+	// ErrJobTimeout as its cause, so the outcome classification below can
+	// tell "too slow" from "told to stop".
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if run.timeout > 0 {
-		ctx, cancel = context.WithTimeoutCause(pctx, run.timeout, ErrJobTimeout)
+		ctx, cancel = context.WithTimeoutCause(r.baseCtx, run.timeout, ErrJobTimeout)
 	} else {
-		ctx, cancel = context.WithCancel(pctx)
+		ctx, cancel = context.WithCancel(r.baseCtx)
 	}
-	defer preemptCause(context.Canceled)
 	defer cancel()
 	run.cancel = cancel
-	run.preempt = func() { preemptCause(ErrPreempted) }
-	if run.preemptWanted {
-		// A preemption request raced dispatch; honor it now that the
-		// machinery exists (the job will stop at its first trial boundary).
-		run.preempt()
-	}
 	run.state = StateRunning
 	run.started = time.Now()
 	run.mu.Unlock()
@@ -888,31 +693,7 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 	// failed it — a job that completes successfully just as the deadline
 	// fires stays Done and must not skew the timeout metric.
 	timedOut := err != nil && errors.Is(context.Cause(ctx), ErrJobTimeout)
-	// Preemption only displaces a run the preempt cause actually stopped:
-	// a job that finished (or failed organically) despite the racing
-	// request keeps its real outcome. A draining registry never requeues —
-	// the run is canceled like any other in-flight work.
-	preempted := err != nil && !timedOut &&
-		errors.Is(context.Cause(ctx), ErrPreempted) &&
-		errors.Is(err, context.Canceled) &&
-		r.baseCtx.Err() == nil && !r.draining.Load()
 	pe, panicked := resilience.IsPanic(err)
-
-	if preempted {
-		run.mu.Lock()
-		run.state = StateQueued
-		run.started = time.Time{}
-		run.errMsg = ""
-		run.cancel = nil
-		run.preempt = nil
-		run.preemptWanted = false
-		run.preemptions++
-		n := run.preemptions
-		run.mu.Unlock()
-		r.metrics.Inc("serve.admission.preempted")
-		log.Info("run preempted, requeued", "preemptions", n, "checkpoint", run.checkpoint)
-		return true
-	}
 
 	run.ring.Close()
 
@@ -952,7 +733,6 @@ func (r *Registry) execute(run *Run) (requeued bool) {
 	r.metrics.Inc("serve.runs." + string(state))
 	r.metrics.Observe("serve.run_duration_us", float64(dur.Nanoseconds())/1e3)
 	log.Info("run finished", "state", string(state), "duration", dur, "err", err)
-	return false
 }
 
 // Shutdown drains the registry: no new submissions, queued runs are
@@ -966,21 +746,17 @@ func (r *Registry) Shutdown(ctx context.Context) error {
 	r.draining.Store(true)
 	r.mu.Unlock()
 	r.stopAll() // cancels every in-flight run's context and stops workers
-	// Flush the backlog: anything still queued becomes canceled. In-flight
-	// preemptions observe draining and finalize as canceled rather than
-	// requeueing behind a worker pool that is exiting.
+	// Flush the backlog: anything still queued becomes canceled.
 	r.mu.Lock()
 	flushed := r.pending
 	r.pending = nil
 	for _, run := range flushed {
 		run.mu.Lock()
-		run.cancelled = true
 		run.state = StateCanceled
 		run.finished = time.Now()
 		run.errMsg = context.Canceled.Error()
 		run.mu.Unlock()
 		run.ring.Close()
-		r.adm.unqueue(run.tenant)
 		r.metrics.Inc("serve.runs.canceled")
 	}
 	r.cond.Broadcast() // wake idle workers so they observe shutdown

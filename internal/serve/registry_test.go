@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -235,4 +236,71 @@ func TestRegistryMergesRunMetrics(t *testing.T) {
 	if r.Metrics().Snapshot().Histograms["core.integrate_us"].Count != 1 {
 		t.Error("merged histogram missing")
 	}
+}
+
+// TestFIFODispatchOrder: queued runs start in submission order.
+func TestFIFODispatchOrder(t *testing.T) {
+	leakCheck(t)
+	started := make(chan string, 8)
+	r := NewRegistry(RegistryOptions{MaxConcurrent: 1, Jobs: blockingJobs(started)})
+	defer r.Shutdown(context.Background())
+	submit := func(tag string) *Run {
+		run, err := r.Submit("block", json.RawMessage(`"`+tag+`"`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run
+	}
+	// Occupy the worker, then queue three runs behind it; each cancel of
+	// the running one lets exactly the next queued one start.
+	running := submit("gate")
+	<-started
+	runs := map[string]*Run{"a": submit("a"), "b": submit("b"), "c": submit("c")}
+	var order []string
+	for range runs {
+		r.Cancel(running.ID())
+		tag := strings.Trim(<-started, `"`)
+		order = append(order, tag)
+		running = runs[tag]
+	}
+	r.Cancel(running.ID())
+	if got := strings.Join(order, ","); got != "a,b,c" {
+		t.Fatalf("dispatch order = %s, want a,b,c", got)
+	}
+}
+
+// TestCancelBetweenDequeueAndStart: a run cancelled after a worker took it
+// off the queue but before the worker started it stays canceled, and its
+// job never runs.
+func TestCancelBetweenDequeueAndStart(t *testing.T) {
+	started := make(chan string, 1)
+	var ran atomic.Bool
+	jobs := blockingJobs(started)
+	jobs["mark"] = Job{Run: func(context.Context, json.RawMessage, JobContext) (any, error) {
+		ran.Store(true)
+		return "ok", nil
+	}}
+	r := NewRegistry(RegistryOptions{MaxConcurrent: 1, Jobs: jobs})
+	defer r.Shutdown(context.Background())
+	gate, err := r.Submit("block", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started // the only worker is busy, so the next run stays queued
+	run, err := r.Submit("mark", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Dequeue the run as a worker does, cancel it, then start it.
+	r.mu.Lock()
+	r.pending = r.pending[:0]
+	r.mu.Unlock()
+	if ok, err := r.Cancel(run.ID()); err != nil || !ok {
+		t.Fatalf("cancel queued: %v %v", ok, err)
+	}
+	r.execute(run)
+	if st := run.Status(false); st.State != StateCanceled || ran.Load() {
+		t.Fatalf("state %s, job ran %v; want canceled and not run", st.State, ran.Load())
+	}
+	r.Cancel(gate.ID())
 }

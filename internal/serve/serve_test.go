@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -338,5 +339,70 @@ func TestServeExperimentRun(t *testing.T) {
 	}
 	if detail.Result.Tables["table3"] == "" {
 		t.Fatal("rendered table missing")
+	}
+}
+
+// TestAdmissionRejectionPaths: a submission the registry cannot admit
+// maps onto its status code, machine-readable envelope reason, Retry-After
+// header and rejection metric.
+func TestAdmissionRejectionPaths(t *testing.T) {
+	t.Run("queue full", func(t *testing.T) {
+		started := make(chan string, 1)
+		s, ts := newTestServer(t, Options{MaxConcurrent: 1, QueueDepth: 1, Jobs: blockingJobs(started)})
+		if _, resp := postRun(t, ts, `{"kind":"block"}`); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("occupy submit = %d", resp.StatusCode)
+		}
+		<-started
+		if _, resp := postRun(t, ts, `{"kind":"block"}`); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("queue submit = %d", resp.StatusCode)
+		}
+		resp, err := http.Post(ts.URL+"/api/v1/runs", "application/json", strings.NewReader(`{"kind":"block"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var apiErr apiError
+		json.NewDecoder(resp.Body).Decode(&apiErr)
+		if resp.StatusCode != http.StatusServiceUnavailable || apiErr.Reason != "queue-full" || apiErr.Error == "" {
+			t.Errorf("status = %d, envelope %+v; want 503 queue-full with a message", resp.StatusCode, apiErr)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "1" {
+			t.Errorf("Retry-After = %q, want 1", ra)
+		}
+		if got := s.Registry().Metrics().Counter("serve.admission.rejected.queue_full"); got != 1 {
+			t.Errorf("serve.admission.rejected.queue_full = %d, want 1", got)
+		}
+	})
+}
+
+// TestAdmissionClientRoundTrip: serve.Client returns the accepted status
+// of a submission and a typed *APIError carrying the rejection reason and
+// the Retry-After hint of one the server turns away.
+func TestAdmissionClientRoundTrip(t *testing.T) {
+	started := make(chan string, 1)
+	_, ts := newTestServer(t, Options{MaxConcurrent: 1, QueueDepth: 1, Jobs: blockingJobs(started)})
+	ctx := context.Background()
+	c := &Client{Base: ts.URL}
+	st, err := c.Submit(ctx, SubmitSpec{Kind: "block"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateQueued || st.ID == "" || st.TraceID == "" {
+		t.Errorf("accepted status = %+v", st)
+	}
+	<-started
+	if _, err := c.Submit(ctx, SubmitSpec{Kind: "block"}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Submit(ctx, SubmitSpec{Kind: "block"})
+	var ae *APIError
+	if !errors.As(err, &ae) {
+		t.Fatalf("queue-full submit error = %v, want *APIError", err)
+	}
+	if ae.Status != http.StatusServiceUnavailable || ae.Reason != "queue-full" || ae.RetryAfter != time.Second {
+		t.Errorf("APIError = %+v", ae)
+	}
+	if ok, err := c.Cancel(ctx, st.ID); err != nil || !ok {
+		t.Fatalf("cancel: %v %v", ok, err)
 	}
 }

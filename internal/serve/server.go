@@ -49,11 +49,6 @@ type Options struct {
 	// submissions carrying a checkpoint are rejected. Clients never supply
 	// filesystem paths — only plain relative names inside this directory.
 	CheckpointDir string
-	// Tenants turns on multi-tenant admission control (-api-keys): every
-	// submission must carry a configured API key and is subject to its
-	// tenant's quotas, submit rate and priority class. Empty keeps the
-	// server open-access.
-	Tenants []TenantConfig
 	// Inject enables fault injection on every run (nil in production).
 	Inject *resilience.Injector
 	// TraceSink, when set, records the server's side of every sampled
@@ -122,7 +117,6 @@ func New(opts Options) *Server {
 		PredictCache:      opts.PredictCache,
 		DefaultJobTimeout: opts.DefaultJobTimeout,
 		CheckpointDir:     opts.CheckpointDir,
-		Tenants:           opts.Tenants,
 		Inject:            opts.Inject,
 		TraceSink:         opts.TraceSink,
 	})

@@ -51,10 +51,6 @@ type ServerStats struct {
 	HTTPRequests int64 `json:"httpRequests,omitempty"`
 	// Active carries the live search fold of every running run.
 	Active []obs.RunStatsSnapshot `json:"active,omitempty"`
-	// Tenants is the live admission accounting of every configured tenant
-	// (absent on an open-access server): running/queued occupancy against
-	// quotas plus the current token-bucket level.
-	Tenants []TenantOccupancy `json:"tenants,omitempty"`
 }
 
 // serverStats assembles the /api/v1/stats payload.
@@ -88,7 +84,6 @@ func (s *Server) serverStats() ServerStats {
 	}
 	st.HTTPRequests = snap.Counters["serve.http.requests"]
 	st.Active = s.reg.ActiveRunStats()
-	st.Tenants = s.reg.TenantOccupancies()
 	return st
 }
 

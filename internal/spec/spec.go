@@ -86,6 +86,10 @@ type File struct {
 	PredictCache int `json:"predictCache,omitempty"`
 }
 
+// maxWorkers bounds File.Workers. Each worker builds its own integrator
+// scratch, and a spec can arrive over the serve API.
+const maxWorkers = 1024
+
 // Problem is the parsed, validated form.
 type Problem struct {
 	Partitioning *core.Partitioning
@@ -154,6 +158,9 @@ func (f *File) Build() (*Problem, error) {
 	if len(parts) == 0 && f.Program != "" {
 		// Programs without explicit partitions get a level split matching
 		// the chip count.
+		if len(f.Chips.Chips) == 0 {
+			return nil, fmt.Errorf("spec: a program without partitions needs at least one chip")
+		}
 		parts = dfg.LevelPartitions(g, len(f.Chips.Chips))
 		if len(f.PartChip) == 0 {
 			for i := range parts {
@@ -200,6 +207,9 @@ func (f *File) Build() (*Problem, error) {
 	}
 	if f.Power.Bound > 0 {
 		cfg.Constraints.Power = f.Power.toConstraint()
+	}
+	if f.Workers > maxWorkers {
+		return nil, fmt.Errorf("spec: workers %d exceeds %d", f.Workers, maxWorkers)
 	}
 	cfg.Workers = f.Workers
 	switch {

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -157,5 +158,74 @@ func TestBadProgramRejected(t *testing.T) {
 	data, _ := json.Marshal(f)
 	if _, err := Parse(data); err == nil {
 		t.Fatal("broken program accepted")
+	}
+}
+
+// The spec-bound tests below feed Parse what one untrusted POST
+// /api/v1/runs body may carry. Each only parses: none starts a search.
+
+// TestParsePredictCacheDoesNotPreallocate: a spec's predictCache capacity
+// bounds the LRU, it is not allocated up front.
+func TestParsePredictCacheDoesNotPreallocate(t *testing.T) {
+	f := Example()
+	f.PredictCache = 1_000_000
+	data, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	prob, err := Parse(data)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prob.Config.PredictCache == nil {
+		t.Fatal("predictCache > 0 built no cache")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Fatalf("Parse allocated %d MB for a %d-entry cache hint", grew>>20, f.PredictCache)
+	}
+}
+
+// TestParseRejectsHugeWorkers: a worker count past the bound is refused at
+// parse time instead of overflowing the shard count (or spawning a
+// goroutine per worker) once the search starts.
+func TestParseRejectsHugeWorkers(t *testing.T) {
+	for _, w := range []int{maxWorkers + 1, 2305843009213693952} {
+		f := Example()
+		f.Workers = w
+		data, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Parse(data); err == nil || !strings.Contains(err.Error(), "workers") {
+			t.Fatalf("workers=%d: err = %v, want a workers bound error", w, err)
+		}
+	}
+	f := Example()
+	f.Workers = maxWorkers
+	data, _ := json.Marshal(f)
+	if _, err := Parse(data); err != nil {
+		t.Fatalf("workers=%d (the bound) rejected: %v", maxWorkers, err)
+	}
+}
+
+// TestParseRejectsRunawayUnrolling: nested loop counts that unroll past
+// hlspec's node or work bound are refused — both a body that adds nodes
+// every iteration and an empty one that only burns time.
+func TestParseRejectsRunawayUnrolling(t *testing.T) {
+	for name, prog := range map[string]string{
+		"nodes": "input a\nx = a + a\nloop 300 {\nloop 300 {\nx = x + a\n}\n}\noutput x",
+		"work":  "input a\nx = a + a\nloop 3000 {\nloop 3000 {\n}\n}\noutput x",
+	} {
+		f := &File{Program: prog, Chips: Example().Chips}
+		data, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Parse(data); err == nil || !strings.Contains(err.Error(), "unrolls past") {
+			t.Fatalf("%s: err = %v, want an unrolling bound error", name, err)
+		}
 	}
 }
